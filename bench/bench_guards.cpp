@@ -1,229 +1,120 @@
-// E18 — Guard-dominance analysis and the pre-validated decode cache (DESIGN.md §6.5).
+// E18 — Static guard-dominance analysis (DESIGN.md §6.5).
 //
-// The decode cache claims three things worth pricing: (1) caching the decoded instruction
-// vector removes the per-step program fetch + re-decode from the interpreter hot path,
-// (2) the certified elision masks let the addressing unit skip statically proven rights and
-// bounds checks on top of that, and (3) the guard auditor that re-executes every skipped
-// check is a pure observer. Host wall-clock IS the result here — the cache exists to make
-// the emulator faster — and the virtual clock is the invariant, not the metric: both
-// configurations must reach the same cycle or the row is void.
+// The guard pass claims two things worth pricing: (1) the per-program dominance summary is
+// cheap enough to ride along with verify-on-load, and (2) whole-system composition into
+// elision certificates scales with program count. Its certificates are static verdicts only
+// (imax_lint --guards): every check stays dynamic in the addressing unit.
 //
 // Rows reported:
-//   - DecodeAllocHotPath : E2-shaped allocation loop, off={verify_on_load} vs
-//                          on={verify_on_load, xlat_cache, decode_cache} — host best-of-N,
-//                          speedup_pct, decode hit rate, elided executions; identical
-//                          virtual makespans enforced
-//   - DecodeChurnHotPath : E6-shaped churn-then-collect loop — same contract with the GC
-//                          daemon resident
-//   - DecodeAuditObserver: check-elided alloc run with the guard auditor off/on — the
-//                          virtual-time delta must be exactly zero, every elision must be
-//                          audited, and the auditor must stay silent
-
-#include <chrono>
+//   - GuardSummary : per-program Phase 1 cost vs program size (host time), with the
+//                    deterministic check / elidable counts
+//   - GuardCompose : AnalyzeGuards() vs program count (host time), with the deterministic
+//                    certified / fresh / interference-suppressed counts
 
 #include "bench/bench_util.h"
-#include "src/analysis/guards/auditor.h"
 #include "src/analysis/guards/guards.h"
 
 namespace imax432 {
 namespace {
 
-using bench::DefaultConfig;
-using bench::MakeCarrier;
-using bench::ToUs;
+constexpr ObjectIndex kCarrier = 1;
+constexpr ObjectIndex kContainerBase = 100;
 
-// off: the plain layered interpreter (verify-on-load only, so both sides pay the same
-// load-time analysis). on: the full stacked fast path — certified AD translations plus
-// pre-validated decode with check-elided execution.
-SystemConfig CacheConfig(bool on, bool audit = false, bool gc = false) {
-  SystemConfig config = DefaultConfig(1);
-  config.verify_on_load = true;  // summaries (and elision certificates) land at spawn
-  config.xlat_cache = on;
-  config.decode_cache = on;
-  config.guard_audit = audit;
-  config.start_gc_daemon = gc;  // the churn row requests a collection mid-run
-  return config;
+// Phase-1 options mirroring what the kernel seeds at load time: a resolvable carrier whose
+// slot 1 is a shared container.
+analysis::EffectOptions SyntheticOptions(ObjectIndex container) {
+  analysis::EffectOptions options;
+  options.initial_arg = AccessDescriptor(kCarrier, 1, rights::kAll);
+  options.slot_reader = [container](ObjectIndex object, uint32_t slot) {
+    if (object == kCarrier && slot == 1) {
+      return AccessDescriptor(container, 1, rights::kAll);
+    }
+    return AccessDescriptor();
+  };
+  return options;
 }
 
-struct HotPathRun {
-  double best_us = 1e300;  // best-of-N host time for System::Run
-  Cycles virtual_now = 0;
-  DecodeCacheStats decode;
-  uint64_t elisions = 0;
-};
-
-// Builds a fresh system per repeat, spawns the workload, and times only the interpreter
-// run. Host timing on millisecond workloads is noisy; best-of-N discards scheduler
-// interference instead of averaging it in.
-template <typename SpawnFn>
-void TimeHotPathOnce(bool on, bool gc, SpawnFn&& spawn, HotPathRun* result) {
-  using Clock = std::chrono::steady_clock;
-  System system(CacheConfig(on, /*audit=*/false, gc));
-  if (gc) {
-    system.Run();  // the collector daemon starts and parks before the workload spawns
-  }
-  spawn(system);
-  auto t0 = Clock::now();
-  system.Run();
-  auto t1 = Clock::now();
-  double us = std::chrono::duration<double, std::micro>(t1 - t0).count();
-  result->best_us = std::min(result->best_us, us);
-  result->virtual_now = system.now();
-  result->decode = system.kernel().decode_stats();
-  result->elisions = system.kernel().stats().guard_elisions;
-}
-
-// Repeats are interleaved off/on so a host-load drift during the run skews both
-// configurations equally instead of poisoning one side's best-of-N.
-template <typename SpawnFn>
-void TimeHotPathPair(int repeats, bool gc, SpawnFn&& spawn, HotPathRun* off, HotPathRun* on) {
-  for (int i = 0; i < repeats; ++i) {
-    TimeHotPathOnce(/*on=*/false, gc, spawn, off);
-    TimeHotPathOnce(/*on=*/true, gc, spawn, on);
-  }
-}
-
-void ReportHotPath(benchmark::State& state, const HotPathRun& off, const HotPathRun& on) {
-  // The decode cache is an observer of virtual time: both configurations must reach the
-  // same cycle, or the cache participated in the simulation and the row is void.
-  IMAX_CHECK(off.virtual_now == on.virtual_now);
-  uint64_t probes = on.decode.hits + on.decode.misses;
-  state.counters["host_ms_off"] = off.best_us / 1000.0;
-  state.counters["host_ms_on"] = on.best_us / 1000.0;
-  state.counters["speedup_pct"] = (off.best_us / on.best_us - 1.0) * 100.0;
-  state.counters["decode_hit_rate_pct"] =
-      probes > 0 ? 100.0 * static_cast<double>(on.decode.hits) / static_cast<double>(probes)
-                 : 0.0;
-  state.counters["guard_elisions"] = static_cast<double>(on.elisions);
-  state.counters["virtual_us"] = ToUs(on.virtual_now);
-}
-
-// E2-shaped hot path: create, initialize, read back, drop, repeat. Every iteration's store
-// and load sit in the create_object's dominance shadow, so the decode cache serves them
-// check-elided on the fast path.
-void BM_DecodeAllocHotPath(benchmark::State& state) {
-  int count = static_cast<int>(state.range(0));
-  auto spawn = [count](System& system) {
-    AccessDescriptor carrier = MakeCarrier(system, {system.memory().global_heap()});
-    Assembler a("alloc-hot");
-    auto loop = a.NewLabel();
-    a.MoveAd(1, kArgAdReg)
-        .LoadAd(2, 1, 0)
-        .LoadImm(0, 0)
-        .LoadImm(1, static_cast<uint64_t>(count))
-        .Bind(loop)
-        .CreateObject(4, 2, 32)
+// Dominance-dense program: every group allocates, initializes and reads back a fresh object
+// (fresh sites), then reads the shared container twice (the second read is dominated).
+ProgramRef BuildGuardProgram(uint32_t size) {
+  Assembler a("guards");
+  a.MoveAd(1, kArgAdReg).LoadAd(2, 1, 0).LoadAd(3, 1, 1);
+  while (a.here() + 6 < size) {
+    a.CreateObject(4, 2, 32)
         .StoreData(4, 0, 0, 8)
-        .LoadData(3, 4, 0, 8)
-        .ClearAd(4)
-        .AddImm(0, 0, 1)
-        .BranchIfLess(0, 1, loop)
-        .Halt();
-    ProcessOptions options;
-    options.initial_arg = carrier;
-    IMAX_CHECK(system.Spawn(a.Build(), options).ok());
-  };
-  constexpr int kRepeats = 7;
-  for (auto _ : state) {
-    HotPathRun off;
-    HotPathRun on;
-    TimeHotPathPair(kRepeats, /*gc=*/false, spawn, &off, &on);
-    ReportHotPath(state, off, on);
+        .LoadData(5, 4, 0, 8)
+        .LoadData(6, 3, 0, 8)
+        .LoadData(7, 3, 0, 4);
   }
-  state.counters["allocations"] = count;
+  a.Halt();
+  return a.Build();
 }
-BENCHMARK(BM_DecodeAllocHotPath)->Arg(4000)->Iterations(1);
 
-// E6-shaped hot path: create, initialize the whole data part, read back, republish; every
-// store orphans the slot's old occupant, then a full collection reclaims the garbage with
-// the mutator parked.
-void BM_DecodeChurnHotPath(benchmark::State& state) {
+void BM_GuardSummary(benchmark::State& state) {
+  ProgramRef program = BuildGuardProgram(static_cast<uint32_t>(state.range(0)));
+  analysis::EffectOptions options = SyntheticOptions(kContainerBase);
+  uint64_t instructions = 0;
+  analysis::GuardCounters counters;
+  for (auto _ : state) {
+    analysis::GuardSummary summary = analysis::GuardAnalyzer::Analyze(*program, options);
+    benchmark::DoNotOptimize(summary);
+    instructions += program->size();
+    counters = summary.counters;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(instructions));
+  state.counters["program_size"] = static_cast<double>(program->size());
+  state.counters["checks"] = static_cast<double>(counters.checks_seen);
+  state.counters["checks_elidable"] = static_cast<double>(counters.checks_elidable);
+}
+BENCHMARK(BM_GuardSummary)->Arg(16)->Arg(128)->Arg(1024);
+
+// `count` reader programs, each over its own container; every fourth container also gets
+// a writer, so composition exercises both the interference screen (the writer retracts the
+// reader's dominated check) and the fresh-object exemption (which no writer retracts).
+void BM_GuardCompose(benchmark::State& state) {
   int count = static_cast<int>(state.range(0));
-  auto spawn = [count](System& system) {
-    AccessDescriptor carrier =
-        MakeCarrier(system, {system.memory().global_heap(), AccessDescriptor()});
-    Assembler a("churn-hot");
-    auto loop = a.NewLabel();
-    a.MoveAd(1, kArgAdReg)
-        .LoadAd(2, 1, 0)
-        .LoadImm(0, 0)
-        .LoadImm(1, static_cast<uint64_t>(count))
-        .Bind(loop)
-        .CreateObject(4, 2, 64);
-    for (uint32_t off = 0; off < 64; off += 8) {
-      a.StoreData(4, 0, off, 8);  // initialize the whole data part before publishing
-    }
-    a.LoadData(3, 4, 0, 8)
-        .StoreAd(1, 4, 1)  // orphans the previous iteration's object
-        .AddImm(0, 0, 1)
-        .BranchIfLess(0, 1, loop)
-        .Halt();
-    ProcessOptions options;
-    options.initial_arg = carrier;
-    IMAX_CHECK(system.Spawn(a.Build(), options).ok());
-    IMAX_CHECK(system.RequestCollection().ok());
+  analysis::SystemEffectGraph graph;
+  std::map<ObjectIndex, analysis::GuardSummary> summaries;
+  std::map<ObjectIndex, analysis::InterferenceSummary> interference;
+  ObjectIndex key = 1;
+  auto add = [&](const ProgramRef& program, const analysis::EffectOptions& options) {
+    analysis::EffectSummary effects = analysis::EffectAnalyzer::Analyze(*program, options);
+    summaries[key] = analysis::GuardAnalyzer::Analyze(*program, options, effects);
+    interference[key] = analysis::InterferenceAnalyzer::Analyze(*program, options, effects);
+    graph.AddProgram(key, std::move(effects));
+    ++key;
   };
-  constexpr int kRepeats = 7;
-  for (auto _ : state) {
-    HotPathRun off;
-    HotPathRun on;
-    TimeHotPathPair(kRepeats, /*gc=*/true, spawn, &off, &on);
-    ReportHotPath(state, off, on);
-  }
-  state.counters["allocations"] = count;
-}
-BENCHMARK(BM_DecodeChurnHotPath)->Arg(3000)->Iterations(1);
-
-// The auditor's contract, priced: an identical check-elided alloc run with the guard
-// auditor off and on. The auditor is host-side bookkeeping hanging off elided executions,
-// so the virtual clocks must agree to the cycle, every elision must be cross-checked, and
-// the canned workload must audit clean.
-void BM_DecodeAuditObserver(benchmark::State& state) {
-  constexpr uint32_t kIterations = 2000;
-  Cycles clock[2] = {0, 0};
-  uint64_t elided = 0;
-  uint64_t checked = 0;
-  for (auto _ : state) {
-    for (int audit = 0; audit < 2; ++audit) {
-      System system(CacheConfig(/*on=*/true, audit != 0));
-      AccessDescriptor carrier = MakeCarrier(system, {system.memory().global_heap()});
-      Assembler a("elided-alloc");
-      auto loop = a.NewLabel();
-      a.MoveAd(1, kArgAdReg)
-          .LoadAd(2, 1, 0)
-          .LoadImm(0, 0)
-          .LoadImm(1, kIterations)
-          .Bind(loop)
-          .CreateObject(4, 2, 32)
-          .StoreData(4, 0, 0, 8)
-          .LoadData(3, 4, 0, 8)
-          .ClearAd(4)
-          .AddImm(0, 0, 1)
-          .BranchIfLess(0, 1, loop)
-          .Halt();
-      ProcessOptions options;
-      options.initial_arg = carrier;
-      IMAX_CHECK(system.Spawn(a.Build(), options).ok());
-      system.Run();
-      clock[audit] = system.now();
-      elided = system.kernel().stats().guard_elisions;
-      if (audit != 0) {
-        const analysis::GuardAuditorStats& stats = system.kernel().guard_auditor()->stats();
-        checked = stats.hits_checked;
-        IMAX_CHECK(stats.hits_checked == elided);
-        IMAX_CHECK(stats.violations == 0);
-        IMAX_CHECK(system.kernel().stats().guard_violations == 0);
-      }
+  for (int i = 0; i < count; ++i) {
+    analysis::EffectOptions options =
+        SyntheticOptions(kContainerBase + static_cast<ObjectIndex>(i));
+    Assembler reader("reader");
+    reader.MoveAd(1, kArgAdReg)
+        .LoadAd(2, 1, 0)
+        .LoadAd(3, 1, 1)
+        .LoadData(4, 3, 0, 8)
+        .LoadData(5, 3, 0, 4)
+        .CreateObject(6, 2, 16)
+        .StoreData(6, 4, 0, 8)
+        .Halt();
+    add(reader.Build(), options);
+    if (i % 4 == 0) {
+      Assembler writer("writer");
+      writer.MoveAd(1, kArgAdReg).LoadAd(3, 1, 1).LoadImm(2, 7).StoreData(3, 2, 0, 8).Halt();
+      add(writer.Build(), options);
     }
-    IMAX_CHECK(clock[0] == clock[1]);
   }
-  state.counters["virtual_us"] = ToUs(clock[1]);
-  state.counters["virtual_delta_cycles"] =
-      static_cast<double>(clock[1] > clock[0] ? clock[1] - clock[0] : clock[0] - clock[1]);
-  state.counters["guard_elisions"] = static_cast<double>(elided);
-  state.counters["audited_hits"] = static_cast<double>(checked);
+  analysis::GuardAnalysisReport report;
+  for (auto _ : state) {
+    report = analysis::AnalyzeGuards(graph, summaries, interference);
+    benchmark::DoNotOptimize(report);
+  }
+  state.counters["programs"] = static_cast<double>(summaries.size());
+  state.counters["checks_certified"] = static_cast<double>(report.checks_certified);
+  state.counters["certified_fresh"] = static_cast<double>(report.certified_fresh);
+  state.counters["suppressed_interference"] =
+      static_cast<double>(report.suppressed_interference);
 }
-BENCHMARK(BM_DecodeAuditObserver)->Iterations(1);
+BENCHMARK(BM_GuardCompose)->Arg(8)->Arg(64)->Arg(512);
 
 }  // namespace
 }  // namespace imax432

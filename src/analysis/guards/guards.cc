@@ -420,8 +420,7 @@ GuardAnalysisReport AnalyzeGuards(
       cert.checks.clear();
     };
     for (const GuardSite& site : summary.sites) {
-      // The level bit is never certified; the kernel additionally requires the full
-      // rights+bounds mask per site kind, but the certificate records exactly what the
+      // The level bit is never certified; the certificate records exactly what the
       // dominance proof covers.
       const uint8_t mask = static_cast<uint8_t>(site.elidable & ~guard_check::kLevel);
       if (mask == 0) continue;
@@ -450,7 +449,7 @@ GuardAnalysisReport AnalyzeGuards(
       }
       cert.begin = std::min(cert.begin, site.pc);
       cert.end = std::max(cert.end, site.pc + 1);
-      ElidedCheck check;
+      CertifiedCheck check;
       check.pc = site.pc;
       check.mask = mask;
       check.dominator_pc = site.dominator_pc;
@@ -485,7 +484,7 @@ std::string FormatGuardReport(const GuardAnalysisReport& report,
     }
     out += "  certificate " + name + " block " + std::to_string(cert.block) + " [" +
            std::to_string(cert.begin) + ", " + std::to_string(cert.end) + "):\n";
-    for (const ElidedCheck& check : cert.checks) {
+    for (const CertifiedCheck& check : cert.checks) {
       out += "    pc " + std::to_string(check.pc) + ": elide " + GuardCheckMaskName(check.mask) +
              " (dominator pc " + std::to_string(check.dominator_pc) +
              (check.fresh ? ", fresh" : "") + ")\n";

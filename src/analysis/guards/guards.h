@@ -7,7 +7,7 @@
 // the object), and an object's data_length / access_count never change after creation, so a
 // check that passed once cannot start failing until the register is overwritten or a
 // synchronization point admits cross-process mutation of the *object's liveness*. This pass
-// certifies exactly that redundancy so the kernel can elide it (DESIGN.md §6.5).
+// certifies exactly that redundancy (DESIGN.md §6.5).
 //
 // Phase 1 (GuardAnalyzer::Analyze) computes a per-program guard summary over the PR 2/PR 4
 // CFG machinery: for every data / access-part touch, the set of dynamic checks the
@@ -30,13 +30,8 @@
 // the system contains no opaque or unresolved program. Everything else is suppressed and
 // counted by cause, never certified.
 //
-// Phase 3 lives in the kernel (exec/kernel.h): `SystemConfig::decode_cache` arms
-// per-processor decode caches (arch/decode_cache.h) of pre-decoded segments keyed by
-// (instruction segment, generation, data_epoch, ProgramStore version); certified
-// instructions carry their elision mask into a check-elided addressing-unit fast path, and
-// `SystemConfig::guard_audit` arms the pure-observer auditor (auditor.h) that re-executes
-// the skipped checks on every elided hit and raises kGuardViolation trace events without
-// perturbing virtual time — the PR 5 replay fingerprint is the correctness oracle.
+// The certificates are static verdicts only (imax_lint --guards): no kernel path consumes
+// them, and every check stays dynamic in the addressing unit (DESIGN.md §6.5).
 
 #ifndef IMAX432_SRC_ANALYSIS_GUARDS_GUARDS_H_
 #define IMAX432_SRC_ANALYSIS_GUARDS_GUARDS_H_
@@ -136,20 +131,20 @@ class GuardAnalyzer {
 
 // One certified elision: at `pc`, the checks in `mask` were proven by the instruction at
 // `dominator_pc` and no intervening instruction (or foreign program) can invalidate them.
-struct ElidedCheck {
+struct CertifiedCheck {
   uint32_t pc = 0;
   uint8_t mask = 0;
   uint32_t dominator_pc = 0;
   bool fresh = false;
 };
 
-// Per-(program, block) certificate the kernel folds into decoded superblocks.
+// Per-(program, block) certificate: the checks of the block proven redundant.
 struct ElisionCertificate {
   ObjectIndex segment = kInvalidObjectIndex;
   uint32_t block = 0;
   uint32_t begin = 0;  // [begin, end) pc range of the block
   uint32_t end = 0;
-  std::vector<ElidedCheck> checks;
+  std::vector<CertifiedCheck> checks;
 };
 
 struct GuardAnalysisReport {

@@ -32,17 +32,11 @@
 //       receive-gated), or kMutable. Immutable certificates carry a caveat bit whenever any
 //       opaque or unresolved program exists in the system — such code could write anything.
 //
-// Phase 3 lives in the kernel (exec/kernel.h): `SystemConfig::xlat_cache` arms per-processor
-// AD-translation caches (arch/xlat_cache.h) whose entries are either analysis-certified
-// immutable (no per-hit revalidation) or epoch-keyed against the descriptor's generation and
-// `data_epoch`; `SystemConfig::interference_audit` arms the pure-observer runtime auditor
-// (auditor.h) that cross-checks every certified hit and raises kInterferenceViolation trace
-// events, preserving the PR 5 bit-identical replay contract.
+// The verdicts are static only (imax_lint --interference): no kernel path consumes them,
+// and the translation cache (arch/xlat_cache.h) revalidates every hit (DESIGN.md §6.4).
 //
 // Soundness posture (DESIGN.md §6.4): kInterfering and kIndependent are claimed only from
-// fully resolved summaries; everything else is suppressed and counted, never reported. The
-// kernel narrows the certificate consumption further (generic objects strict-tier only;
-// instruction segments under a documented kernel-trusted carve-out) — see kernel.h.
+// fully resolved summaries; everything else is suppressed and counted, never reported.
 
 #ifndef IMAX432_SRC_ANALYSIS_INTERFERENCE_INTERFERENCE_H_
 #define IMAX432_SRC_ANALYSIS_INTERFERENCE_INTERFERENCE_H_
@@ -129,8 +123,7 @@ struct CacheCertificate {
   uint32_t readers = 0;  // programs that may read it
   uint32_t writers = 0;  // programs that may write it
   // Grade is kImmutable but an opaque / unresolved program exists somewhere in the system:
-  // such code could write this object without appearing in any summary. The kernel's strict
-  // tier refuses caveated certificates (see Kernel::EnsureInterferenceCertificates).
+  // such code could write this object without appearing in any summary.
   bool caveat = false;
 };
 

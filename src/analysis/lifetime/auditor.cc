@@ -25,8 +25,9 @@ std::vector<LifetimeViolation> LifetimeAuditor::AuditScopeExit(const ObjectTable
 
   // The dying population: tracked entries from this SRO whose table slot still holds the
   // same incarnation. (A stale generation means the object was already reclaimed and the
-  // index possibly reused — that object is not being destroyed now.)
-  std::map<ObjectIndex, const Entry*> population;
+  // index possibly reused — that object is not being destroyed now.) Entries are copied:
+  // the tracking map drops them below.
+  std::map<ObjectIndex, Entry> population;
   for (auto it = demoted_.begin(); it != demoted_.end();) {
     if (it->second.sro != sro) {
       ++it;
@@ -34,7 +35,7 @@ std::vector<LifetimeViolation> LifetimeAuditor::AuditScopeExit(const ObjectTable
     }
     const ObjectDescriptor& descriptor = table.At(it->first);
     if (descriptor.allocated && descriptor.generation == it->second.generation) {
-      population.emplace(it->first, &it->second);
+      population.emplace(it->first, it->second);
     }
     // Dropped either way: the caller bulk-destroys the SRO right after this audit.
     it = demoted_.erase(it);
@@ -53,15 +54,15 @@ std::vector<LifetimeViolation> LifetimeAuditor::AuditScopeExit(const ObjectTable
       if (ad.is_null()) continue;
       auto member = population.find(ad.index());
       if (member == population.end() ||
-          ad.generation() != member->second->generation) {
+          ad.generation() != member->second.generation) {
         continue;
       }
       LifetimeViolation violation;
       violation.object = member->first;
       violation.holder = holder;
       violation.holder_slot = slot;
-      violation.segment = member->second->segment;
-      violation.alloc_pc = member->second->pc;
+      violation.segment = member->second.segment;
+      violation.alloc_pc = member->second.pc;
       found.push_back(violation);
       ++stats_.violations;
     }

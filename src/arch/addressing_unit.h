@@ -30,6 +30,10 @@ class AddressingUnit {
  public:
   AddressingUnit(ObjectTable* table, PhysicalMemory* memory) : table_(table), memory_(memory) {}
 
+  // xlat_ may point at own_xlat_, so the unit stays where it was built.
+  AddressingUnit(const AddressingUnit&) = delete;
+  AddressingUnit& operator=(const AddressingUnit&) = delete;
+
   // --- Data part access (scalar, little-endian; width in {1, 2, 4, 8}) ---
   Result<uint64_t> ReadData(const AccessDescriptor& ad, uint32_t offset, uint32_t width) const;
   Status WriteData(const AccessDescriptor& ad, uint32_t offset, uint32_t width, uint64_t value);
@@ -58,20 +62,6 @@ class AddressingUnit {
   Status WriteAdPrivileged(const AccessDescriptor& container, uint32_t slot,
                            const AccessDescriptor& ad);
 
-  // --- Check-elided fast paths (guard-dominance Phase 3; see analysis/guards/guards.h) ---
-  // The caller holds an ElisionCertificate proving the rights and bounds checks were
-  // performed by a dominating instruction on every path to this site. Liveness/generation
-  // (via CachedResolve), quarantine, and residency remain dynamic, so the elided path
-  // faults identically to the full path on everything the certificate does not cover; what
-  // is skipped is exactly the HasRights test and the data/slot bounds compare. Widths are
-  // certified statically valid. A host-memory range check is kept as defense in depth
-  // against a wrong certificate (the guard auditor is the diagnostic surface for that).
-  Result<uint64_t> ReadDataElided(const AccessDescriptor& ad, uint32_t offset,
-                                  uint32_t width) const;
-  Status WriteDataElided(const AccessDescriptor& ad, uint32_t offset, uint32_t width,
-                         uint64_t value);
-  Result<AccessDescriptor> ReadAdElided(const AccessDescriptor& container, uint32_t slot) const;
-
   // --- Typed resolution helpers used by the high-level instructions ---
   // Resolves and checks the object's system type and that the AD carries `required` rights.
   Result<ObjectDescriptor*> ResolveTyped(const AccessDescriptor& ad, SystemType type,
@@ -90,43 +80,42 @@ class AddressingUnit {
   // fault-information area; the memory manager reads it to service the fault).
   ObjectIndex last_swapped_object() const { return last_swapped_object_; }
 
-  // Binds (or unbinds, with nullptr) a per-processor AD-translation cache
-  // (SystemConfig::xlat_cache). Every Resolve in this unit then goes through CachedResolve:
-  // an epoch-keyed hit replicates Resolve's allocated/generation checks on the cached
-  // descriptor pointer; a certified hit skips them under the interference analysis's
-  // immutability proof. Rights, bounds, quarantine, swap state, and data_base stay per-access
-  // on the resolved descriptor, so fault semantics are byte-identical with the cache bound.
-  void BindXlatCache(XlatCache* cache) { xlat_ = cache; }
-  XlatCache* xlat_cache() const { return xlat_; }
+  // Binds the executing processor's AD-translation cache; nullptr rebinds the unit's own
+  // cache, which serves until a processor's cache is bound. Every Resolve in this unit goes
+  // through CachedResolve: a hit replicates Resolve's allocated/generation checks on the
+  // cached descriptor pointer. Rights, bounds, quarantine, swap state, and data_base stay
+  // per-access on the resolved descriptor, so fault semantics are byte-identical to
+  // resolving through the object table.
+  void BindXlatCache(XlatCache* cache) { xlat_ = cache != nullptr ? cache : &own_xlat_; }
 
  private:
   // Common data-part checks; returns the physical address of (ad.data_base + offset).
-  // always_inline pins the no-cache configuration's codegen: the fused fast path below
-  // grows ReadData/WriteData past GCC's inlining budget, and letting this helper fall out
-  // of line would slow the default (cache-off) interpreter hot path by ~50%.
+  // always_inline keeps the translation-miss path of ReadData/WriteData free of an extra
+  // call: the fused fast path grows both past GCC's inlining budget.
   __attribute__((always_inline)) inline Result<PhysAddr> CheckDataAccess(
       const AccessDescriptor& ad, uint32_t offset, uint32_t length, RightsMask required) const;
 
-  // ObjectTable::Resolve through the bound translation cache (authoritative Resolve when no
-  // cache is bound). Hot: inline, one predictable branch on the unbound path.
-  Result<ObjectDescriptor*> CachedResolve(const AccessDescriptor& ad) const {
-    if (xlat_ != nullptr) {
-      XlatEntry& entry = xlat_->Probe(ad.index());
-      if (entry.descriptor != nullptr && entry.index == ad.index() &&
-          entry.generation == ad.generation()) {
-        if (entry.certified) {
-          ++xlat_->stats().certified_hits;
-          xlat_->NotifyCertifiedHit(entry);
-          return entry.descriptor;
-        }
-        if (entry.descriptor->allocated && entry.descriptor->generation == ad.generation()) {
-          ++xlat_->stats().hits;
-          return entry.descriptor;
-        }
-      }
-      return ResolveAndFill(ad);
+  // The cached descriptor when the bound cache holds a live translation for `ad`, else
+  // nullptr. Liveness is exactly what ObjectTable::Resolve checks: allocated bit and
+  // generation, re-read from the descriptor on every probe.
+  ObjectDescriptor* CacheHit(const AccessDescriptor& ad) const {
+    const XlatEntry& entry = xlat_->Probe(ad.index());
+    ObjectDescriptor* descriptor = entry.descriptor;
+    if (descriptor != nullptr && entry.index == ad.index() &&
+        entry.generation == ad.generation() && descriptor->allocated &&
+        descriptor->generation == ad.generation()) {
+      return descriptor;
     }
-    return table_->Resolve(ad);
+    return nullptr;
+  }
+
+  // ObjectTable::Resolve through the bound translation cache. Hot: inline.
+  Result<ObjectDescriptor*> CachedResolve(const AccessDescriptor& ad) const {
+    if (ObjectDescriptor* hit = CacheHit(ad)) {
+      ++xlat_->stats().hits;
+      return hit;
+    }
+    return ResolveAndFill(ad);
   }
 
   // Slow path: authoritative Resolve, then (on success) fill the probed entry. Fault
@@ -137,7 +126,8 @@ class AddressingUnit {
   PhysicalMemory* memory_;
   uint64_t shade_count_ = 0;
   mutable ObjectIndex last_swapped_object_ = kInvalidObjectIndex;
-  XlatCache* xlat_ = nullptr;
+  XlatCache own_xlat_;
+  XlatCache* xlat_ = &own_xlat_;
 };
 
 }  // namespace imax432

@@ -49,12 +49,46 @@ class ProgramStore {
     return it->second;
   }
 
+  // Fetch through a processor's translation cache (the interpreter's per-step path). A hit
+  // skips the table resolve and the map lookup; it rechecks exactly what Fetch checks
+  // (liveness, generation, segment type) plus the two content witnesses (the descriptor's
+  // data_epoch and version()), so it returns what Fetch would. The pointer stays valid
+  // until Forget or Replace drops the program.
+  Result<const Program*> FetchCached(XlatCache* cache, const AccessDescriptor& ad) const {
+    XlatEntry& entry = cache->Probe(ad.index());
+    if (entry.program != nullptr && entry.index == ad.index() &&
+        entry.generation == ad.generation()) {
+      const ObjectDescriptor* descriptor = entry.descriptor;
+      if (descriptor->allocated && descriptor->generation == ad.generation() &&
+          descriptor->type == SystemType::kInstructionSegment &&
+          descriptor->data_epoch == entry.data_epoch && entry.program_version == version_) {
+        ++cache->stats().program_hits;
+        return static_cast<const Program*>(entry.program);
+      }
+    }
+    ++cache->stats().program_misses;
+    IMAX_ASSIGN_OR_RETURN(ObjectDescriptor * descriptor, machine_->table().Resolve(ad));
+    if (descriptor->type != SystemType::kInstructionSegment) {
+      return Fault::kTypeMismatch;
+    }
+    const Program* program = Find(ad.index());
+    if (program == nullptr) {
+      return Fault::kNotFound;
+    }
+    entry.index = ad.index();
+    entry.generation = ad.generation();
+    entry.descriptor = descriptor;
+    entry.program = program;
+    entry.program_version = version_;
+    entry.data_epoch = descriptor->data_epoch;
+    return program;
+  }
+
   // Replaces the program behind a live instruction segment in place (hot-patching a loaded
   // program without changing its architectural identity). Staleness contract: bumps BOTH
-  // invalidation keys the caches consult — the store version() (xlat program payloads and
-  // decode entries key on it) and the segment descriptor's data_epoch (the per-object
-  // content witness) — plus rewrites the instruction-count metadata. Missing either bump
-  // would let a cached translation or decoded superblock keep serving the old code.
+  // invalidation keys FetchCached consults — version() and the segment descriptor's
+  // data_epoch (the per-object content witness) — plus rewrites the instruction-count
+  // metadata. Missing either bump would let a cached translation keep serving the old code.
   Status Replace(const AccessDescriptor& ad, ProgramRef program) {
     IMAX_ASSIGN_OR_RETURN(ObjectDescriptor * descriptor, machine_->table().Resolve(ad));
     if (descriptor->type != SystemType::kInstructionSegment) {
@@ -70,8 +104,7 @@ class ProgramStore {
     ++version_;
     ++descriptor->data_epoch;
     // Static analysis summarized the OLD code: let the owner retract it (the kernel wires
-    // this to ForgetProgramAnalysis, so elision certificates computed against the replaced
-    // program can never be folded into a decode of the new one).
+    // this to ForgetProgramAnalysis).
     if (replace_hook_) replace_hook_(ad.index());
     return Status::Ok();
   }
@@ -86,16 +119,16 @@ class ProgramStore {
     if (programs_.erase(index) != 0) ++version_;
   }
 
-  // Raw pointer lookup for the kernel's translation-cache fill path: no Resolve, no
-  // shared_ptr traffic. The pointer stays valid until Forget drops the segment — which
-  // bumps version(), killing every cache entry that captured it.
+  // Raw pointer lookup: no Resolve, no shared_ptr traffic. The pointer stays valid until
+  // Forget drops the segment — which bumps version(), killing every cache entry that
+  // captured it.
   const Program* Find(ObjectIndex index) const {
     auto it = programs_.find(index);
     return it == programs_.end() ? nullptr : it->second.get();
   }
 
-  // Bumped on every Register / successful Forget. Translation-cache program payloads are
-  // keyed on it: any store mutation invalidates them wholesale.
+  // Bumped on every Register / Replace / successful Forget. Translation-cache program
+  // payloads are keyed on it: any store mutation invalidates them wholesale.
   uint64_t version() const { return version_; }
 
   // Visits every registered program as (segment object index, program) — offline tools like

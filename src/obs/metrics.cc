@@ -30,7 +30,15 @@ CounterMap CountersFor(const KernelStats& stats) {
           {"effect_summaries", stats.effect_summaries},
           {"processors_retired", stats.processors_retired},
           {"processors_stalled", stats.processors_stalled},
-          {"retirement_requeues", stats.retirement_requeues}};
+          {"retirement_requeues", stats.retirement_requeues},
+          {"xlat_invalidations", stats.xlat_invalidations}};
+}
+
+CounterMap CountersFor(const XlatCacheStats& stats) {
+  return {{"xlat_hits", stats.hits},
+          {"xlat_misses", stats.misses},
+          {"xlat_program_hits", stats.program_hits},
+          {"xlat_program_misses", stats.program_misses}};
 }
 
 CounterMap CountersFor(const PortStats& stats) {
@@ -119,7 +127,15 @@ CounterMap CountersFor(const PatrolStats& stats) {
 MetricsRegistry::MetricsRegistry(System* system) {
   Machine* machine = &system->machine();
   clock_ = [machine] { return machine->now(); };
-  Add("kernel", [system] { return CountersFor(system->kernel().stats()); });
+  Add("kernel", [system] {
+    // The translation-cache counters are host work, but deterministic: the simulation
+    // drives every probe, so they gate like virtual-time counters.
+    CounterMap counters = CountersFor(system->kernel().stats());
+    for (auto& counter : CountersFor(system->kernel().xlat_stats())) {
+      counters.push_back(std::move(counter));
+    }
+    return counters;
+  });
   Add("ports", [system] { return CountersFor(system->kernel().ports().stats()); });
   Add("gc", [system] { return CountersFor(system->gc().stats()); });
   Add("memory", [system] { return CountersFor(system->memory().stats()); });

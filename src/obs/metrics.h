@@ -31,6 +31,7 @@ struct JournalStats;
 struct DeviceStats;
 struct FaultServiceStats;
 struct PatrolStats;
+struct XlatCacheStats;
 class System;
 
 // Ordered name -> value pairs; a vector (not a map) so serialization order is declaration
@@ -50,6 +51,7 @@ CounterMap CountersFor(const JournalStats& stats);
 CounterMap CountersFor(const DeviceStats& stats);
 CounterMap CountersFor(const FaultServiceStats& stats);
 CounterMap CountersFor(const PatrolStats& stats);
+CounterMap CountersFor(const XlatCacheStats& stats);
 
 struct HistogramSnapshot {
   std::string name;

@@ -60,12 +60,9 @@ enum class TraceEventKind : uint8_t {
   kPatrolSweep,     // patrol sweep completed; a = descriptors scanned, b = quarantined total
   kLifetimeViolation,  // demoted object escaped its context; a = object index,
                        // b = holding object index, c = allocation-site pc
-  kInterferenceViolation,  // certified translation-cache entry failed its runtime
-                           // cross-check; a = object index,
-                           // b = InterferenceViolationKind, c = fill-time data_epoch
-  kGuardViolation,  // check-elided execution failed its re-executed full check set;
-                    // a = object index, b = GuardViolationKind, c = site pc
-  kFilingOp,        // filing-layer operation; a = FilingOpKind, b = payload bytes or
+  // Kind values feed the trace fingerprint: 27 and 28 belonged to two retired audit kinds,
+  // so later kinds keep their numbers.
+  kFilingOp = 29,   // filing-layer operation; a = FilingOpKind, b = payload bytes or
                     // record count, c = FNV-1a hash of the filed name (0 if none)
 };
 

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "src/arch/types.h"
@@ -40,9 +41,7 @@ class EventQueue {
   uint64_t RunUntil(Cycles deadline) {
     uint64_t processed = 0;
     while (!heap_.empty() && heap_.top().time <= deadline) {
-      // Copy out before pop so the callback may schedule new events freely.
-      Event event = heap_.top();
-      heap_.pop();
+      Event event = PopTop();
       IMAX_DCHECK(event.time >= now_);
       now_ = event.time;
       event.fn();
@@ -55,8 +54,7 @@ class EventQueue {
   uint64_t RunBounded(uint64_t limit) {
     uint64_t processed = 0;
     while (processed < limit && !heap_.empty()) {
-      Event event = heap_.top();
-      heap_.pop();
+      Event event = PopTop();
       now_ = event.time;
       event.fn();
       ++processed;
@@ -81,6 +79,15 @@ class EventQueue {
       return seq > other.seq;
     }
   };
+
+  // Moves the earliest event out of the heap before popping it, so the callback may
+  // schedule new events freely and no std::function is copied per step. The heap orders
+  // on `time` and `seq` alone, which the move leaves intact for pop's sift.
+  Event PopTop() {
+    Event event = std::move(const_cast<Event&>(heap_.top()));
+    heap_.pop();
+    return event;
+  }
 
   std::priority_queue<Event, std::vector<Event>, std::greater<>> heap_;
   Cycles now_ = 0;

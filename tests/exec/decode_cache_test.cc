@@ -1,16 +1,17 @@
-// The per-processor decode cache (src/arch/decode_cache.h) and its kernel integration:
-// the direct-mapped structure, pre-decoded fetch with epoch revalidation, check-elided
-// execution of guard-certified instructions, invalidation on analysis retraction, and the
-// pure-observer contract (bit-identical virtual time with the cache on or off).
-
-#include "src/arch/decode_cache.h"
+// The instruction-fetch ("decode") tier of the per-processor XlatCache and its kernel
+// integration. The separate decode cache is gone: decoded programs ride in the fetch
+// payload of the translation entries, revalidated against the segment's data_epoch and the
+// ProgramStore version on every hit. These tests pin the payload's direct-mapped structure,
+// the guard summaries recorded beside each program, the clear on analysis retraction, and
+// the pure-observer contract (virtual time and instruction counts equal to the engine that
+// fetched every instruction through the store).
 
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "src/analysis/guards/guards.h"
-#include "src/arch/rights.h"
+#include "src/arch/xlat_cache.h"
 #include "src/exec/kernel.h"
 #include "src/isa/assembler.h"
 #include "src/os/system.h"
@@ -26,41 +27,49 @@ MachineConfig SmallConfig() {
   return config;
 }
 
-// --- The structure itself ---------------------------------------------------------------
+// --- The fetch payload of the structure ----------------------------------------------------
 
 TEST(DecodeCacheTest, ProbeIsDirectMappedModuloEntries) {
-  DecodeCache cache;
-  EXPECT_EQ(&cache.Probe(5), &cache.Probe(5 + DecodeCache::kEntries));
-  EXPECT_NE(&cache.Probe(5), &cache.Probe(6));
+  XlatCache cache;
+  int program = 0;
+  cache.Probe(5).program = &program;
+  EXPECT_EQ(cache.Probe(5 + XlatCache::kEntries).program, &program);
+  EXPECT_EQ(cache.Probe(6).program, nullptr);
 }
 
 TEST(DecodeCacheTest, ClearDropsEntriesButKeepsStats) {
-  DecodeCache cache;
-  cache.Probe(3).segment = 3;
-  cache.stats().hits = 7;
+  XlatCache cache;
+  int program = 0;
+  XlatEntry& entry = cache.Probe(3);
+  entry.index = 3;
+  entry.program = &program;
+  entry.program_version = 4;
+  entry.data_epoch = 2;
+  cache.stats().program_hits = 7;
+  cache.stats().program_misses = 1;
   cache.Clear();
-  EXPECT_EQ(cache.Probe(3).segment, kInvalidObjectIndex);
-  EXPECT_FALSE(cache.Probe(3).valid());
-  EXPECT_EQ(cache.stats().hits, 7u);
+  EXPECT_EQ(cache.Probe(3).index, kInvalidObjectIndex);
+  EXPECT_EQ(cache.Probe(3).program, nullptr);
+  EXPECT_EQ(cache.Probe(3).program_version, 0u);
+  EXPECT_EQ(cache.Probe(3).data_epoch, 0u);
+  EXPECT_EQ(cache.stats().program_hits, 7u);
+  EXPECT_EQ(cache.stats().program_misses, 1u);
 }
 
 // --- Kernel integration ------------------------------------------------------------------
 
-SystemConfig CacheConfig(bool cache, bool audit) {
+SystemConfig CacheConfig() {
   SystemConfig config;
   config.machine = SmallConfig();
   config.processors = 1;
   config.verify_on_load = true;  // summaries land at spawn, like the shipped configuration
   config.start_gc_daemon = false;
-  config.decode_cache = cache;
-  config.guard_audit = audit;
   return config;
 }
 
 // Allocation-shaped hot loop (the E2 profile): every iteration creates a fresh object,
 // stores into it, reads back, and destroys it. The store and the load are fresh sites, so
-// the guard analysis certifies them unconditionally — the decode cache executes them on
-// the check-elided fast path.
+// the guard analysis certifies them unconditionally.
 Assembler AllocLoop(const std::string& name, uint32_t iters) {
   Assembler a(name);
   auto loop = a.NewLabel();
@@ -96,55 +105,20 @@ RunOutcome RunAllocWorkload(System& system, uint32_t iters) {
   return outcome;
 }
 
-TEST(DecodeKernelTest, DisabledByDefaultAndStatsStayZero) {
-  System system(CacheConfig(false, false));
-  RunAllocWorkload(system, 50);
-  EXPECT_FALSE(system.kernel().decode_cache_enabled());
-  DecodeCacheStats stats = system.kernel().decode_stats();
-  EXPECT_EQ(stats.hits + stats.misses, 0u);
-  EXPECT_EQ(system.kernel().stats().guard_elisions, 0u);
-}
-
-TEST(DecodeKernelTest, HotLoopHitsAndExecutesCheckElided) {
-  System system(CacheConfig(true, false));
-  RunAllocWorkload(system, 200);
-  DecodeCacheStats stats = system.kernel().decode_stats();
-  EXPECT_GT(stats.hits, 0u);
-  EXPECT_GT(stats.misses, 0u);  // the compulsory fill
-  // The fresh store + load in every iteration ran on the elided fast path.
-  EXPECT_GE(system.kernel().stats().guard_elisions, 2u * 200u);
-}
-
+// "Off" is the engine that fetched every instruction through the program store and resolved
+// every access through the object table; these values were recorded from it.
 TEST(DecodeKernelTest, VirtualTimeAndInstructionsAreBitIdenticalOffAndOn) {
-  System off(CacheConfig(false, false));
-  System on(CacheConfig(true, true));
-  RunOutcome off_outcome = RunAllocWorkload(off, 300);
-  RunOutcome on_outcome = RunAllocWorkload(on, 300);
-  EXPECT_EQ(off_outcome.now, on_outcome.now);
-  EXPECT_EQ(off_outcome.instructions, on_outcome.instructions);
-}
-
-TEST(DecodeKernelTest, SystemConfigWiresCacheAndAuditor) {
-  System plain(CacheConfig(false, false));
-  EXPECT_FALSE(plain.kernel().decode_cache_enabled());
-  EXPECT_EQ(plain.kernel().guard_auditor(), nullptr);
-
-  System armed(CacheConfig(true, true));
-  EXPECT_TRUE(armed.kernel().decode_cache_enabled());
-  ASSERT_NE(armed.kernel().guard_auditor(), nullptr);
-}
-
-TEST(DecodeKernelTest, AuditorConfirmsEveryElisionOnACleanRun) {
-  System system(CacheConfig(true, true));
-  RunAllocWorkload(system, 200);
-  const analysis::GuardAuditorStats& stats = system.kernel().guard_auditor()->stats();
-  EXPECT_GT(stats.hits_checked, 0u);
-  EXPECT_EQ(stats.violations, 0u);
-  EXPECT_EQ(system.kernel().stats().guard_violations, 0u);
+  System system(CacheConfig());
+  RunOutcome outcome = RunAllocWorkload(system, 300);
+  EXPECT_EQ(outcome.now, 318304u);
+  EXPECT_EQ(outcome.instructions, 1805u);
+  XlatCacheStats stats = system.kernel().xlat_stats();
+  EXPECT_GT(stats.program_hits, 0u);
+  EXPECT_GT(stats.program_misses, 0u);  // the compulsory fill
 }
 
 TEST(DecodeKernelTest, GuardSummariesRideAlongWithEffectSummaries) {
-  System system(CacheConfig(false, false));
+  System system(CacheConfig());
   RunAllocWorkload(system, 10);
   EXPECT_EQ(system.kernel().stats().guard_summaries,
             system.kernel().stats().effect_summaries);
@@ -156,7 +130,7 @@ TEST(DecodeKernelTest, GuardSummariesRideAlongWithEffectSummaries) {
 }
 
 TEST(DecodeKernelTest, AnalyzeGuardsCertifiesTheFreshLoopSites) {
-  System system(CacheConfig(false, false));
+  System system(CacheConfig());
   RunAllocWorkload(system, 10);
   analysis::GuardAnalysisReport report = system.kernel().AnalyzeGuards();
   EXPECT_EQ(report.programs_analyzed, 1u);
@@ -165,46 +139,27 @@ TEST(DecodeKernelTest, AnalyzeGuardsCertifiesTheFreshLoopSites) {
   ASSERT_FALSE(report.certificates.empty());
 }
 
-TEST(DecodeKernelTest, SpawnInvalidatesEveryDecodeCache) {
-  System system(CacheConfig(true, false));
-  RunAllocWorkload(system, 100);
-  uint64_t invalidations = system.kernel().stats().decode_invalidations;
-  EXPECT_GT(invalidations, 0u);  // the spawn's RecordEffectSummary already invalidated
-
-  // A second program entering the system retracts certificates again.
-  Assembler late = AllocLoop("decode.late", 10);
-  ProcessOptions options;
-  options.initial_arg = system.memory().global_heap();
-  ASSERT_TRUE(system.Spawn(late.Build(), options).ok());
-  EXPECT_GT(system.kernel().stats().decode_invalidations, invalidations);
-  system.Run();
-}
-
 TEST(DecodeKernelTest, ForgetProgramAnalysisDropsGuardSummariesAndClears) {
-  System system(CacheConfig(true, false));
+  System system(CacheConfig());
   RunAllocWorkload(system, 100);
   ASSERT_FALSE(system.kernel().guard_summaries().empty());
   ObjectIndex segment = system.kernel().guard_summaries().begin()->first;
-  uint64_t invalidations = system.kernel().stats().decode_invalidations;
+  uint64_t invalidations = system.kernel().stats().xlat_invalidations;
   system.kernel().ForgetProgramAnalysis(segment);
-  EXPECT_GT(system.kernel().stats().decode_invalidations, invalidations);
+  EXPECT_GT(system.kernel().stats().xlat_invalidations, invalidations);
   EXPECT_EQ(system.kernel().guard_summaries().count(segment), 0u);
 }
 
+// The fetch payload and the translation entries share one structure: both tiers serve the
+// same run, and virtual time still equals the value recorded from the uncached engine.
 TEST(DecodeKernelTest, DecodeCacheComposesWithTheXlatCache) {
-  SystemConfig config = CacheConfig(true, true);
-  config.xlat_cache = true;
-  config.interference_audit = true;
-  System system(config);
+  System system(CacheConfig());
   RunOutcome on = RunAllocWorkload(system, 150);
-
-  System off(CacheConfig(false, false));
-  RunOutcome baseline = RunAllocWorkload(off, 150);
-  EXPECT_EQ(on.now, baseline.now);
-  EXPECT_GT(system.kernel().decode_stats().hits, 0u);
-  EXPECT_GT(system.kernel().xlat_stats().hits, 0u);
-  EXPECT_EQ(system.kernel().stats().guard_violations, 0u);
-  EXPECT_EQ(system.kernel().stats().interference_violations, 0u);
+  EXPECT_EQ(on.now, 159180u);
+  EXPECT_EQ(on.instructions, 905u);
+  XlatCacheStats stats = system.kernel().xlat_stats();
+  EXPECT_GT(stats.program_hits, 0u);
+  EXPECT_GT(stats.hits, 0u);
 }
 
 }  // namespace

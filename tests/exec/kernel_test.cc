@@ -577,6 +577,45 @@ TEST_F(KernelTest, LocalHeapAutoDestroyedOnReturn) {
   EXPECT_GE(stats.bulk_reclaimed_objects, 2u);
 }
 
+// A callee returning an AD to an object of its own local heap hands back a dangling
+// reference: the heap dies with the activation, so the caller's checked store of a7 faults
+// kInvalidAccess. Falling off the end of the callee is an implicit Return and must deliver
+// the same fault, never abort the host.
+TEST_F(KernelTest, ImplicitReturnOfALocalObjectFaultsLikeExplicitReturn) {
+  ASSERT_TRUE(kernel_.AddProcessors(1).ok());
+  for (bool explicit_return : {true, false}) {
+    Assembler callee(explicit_return ? "returns-local" : "falls-off-with-local");
+    callee.MoveAd(1, kArgAdReg)  // a1 = global heap
+        .CreateSro(2, 1, 4096)
+        .CreateObject(7, 2, 64);  // a7 = an object of the activation's local heap
+    if (explicit_return) callee.Return();
+    auto segment = kernel_.programs().Register(callee.Build());
+    ASSERT_TRUE(segment.ok());
+    auto domain = kernel_.CreateDomain({segment.value()});
+    ASSERT_TRUE(domain.ok());
+
+    auto carrier = memory_.CreateObject(memory_.global_heap(), SystemType::kGeneric, 8, 2,
+                                        rights::kRead | rights::kWrite);
+    ASSERT_TRUE(carrier.ok());
+    ASSERT_TRUE(machine_.addressing().WriteAd(carrier.value(), 0, domain.value()).ok());
+    ASSERT_TRUE(machine_.addressing().WriteAd(carrier.value(), 1, memory_.global_heap()).ok());
+
+    Assembler caller("caller");
+    caller.MoveAd(1, kArgAdReg)
+        .LoadAd(2, 1, 0)  // a2 = domain
+        .LoadAd(7, 1, 1)  // a7 = global heap (argument to callee)
+        .Call(2, 0)
+        .Halt();
+    ProcessOptions options;
+    options.initial_arg = carrier.value();
+    AccessDescriptor process = Spawn(caller.Build(), options);
+    kernel_.Run();
+    EXPECT_EQ(View(process).state(), ProcessState::kTerminated) << explicit_return;
+    EXPECT_EQ(View(process).fault_code(), Fault::kInvalidAccess) << explicit_return;
+  }
+  EXPECT_EQ(kernel_.stats().panics, 0u);
+}
+
 TEST_F(KernelTest, StaleAdAfterSroDestructionFaults) {
   ASSERT_TRUE(kernel_.AddProcessors(1).ok());
   // Create an object in a local heap, destroy the heap, then use the stale AD.

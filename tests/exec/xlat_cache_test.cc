@@ -1,7 +1,7 @@
 // The AD-translation cache (src/arch/xlat_cache.h) and its kernel integration: the
-// direct-mapped structure itself, the addressing-unit epoch-keyed tier (every downstream
-// check still enforced), the program-fetch tiers, invalidation on analysis retraction, and
-// the pure-observer contract (bit-identical virtual time with the cache on or off).
+// direct-mapped structure itself, the addressing-unit tier (every downstream check still
+// enforced), the program-fetch tier, and invalidation when a segment's code is dropped.
+// xlat_differential_test.cc checks the cached paths against an uncached reference.
 
 #include "src/arch/xlat_cache.h"
 
@@ -46,33 +46,7 @@ TEST(XlatCacheTest, ClearDropsEntriesButKeepsStats) {
   EXPECT_EQ(cache.stats().hits, 7u);
 }
 
-TEST(XlatCacheTest, CertifiedMembershipFollowsTheBoundSet) {
-  XlatCache cache;
-  EXPECT_FALSE(cache.IsCertified(7));  // no set bound
-  std::set<ObjectIndex> certified{7};
-  cache.SetCertifiedSet(&certified);
-  EXPECT_TRUE(cache.IsCertified(7));
-  EXPECT_FALSE(cache.IsCertified(8));
-  certified.erase(7);
-  EXPECT_FALSE(cache.IsCertified(7));  // live view, not a snapshot
-}
-
-TEST(XlatCacheTest, CertifiedHitHookFiresWithTheEntry) {
-  XlatCache cache;
-  std::vector<ObjectIndex> seen;
-  cache.SetCertifiedHitHook(
-      [](void* user, const XlatEntry& entry) {
-        static_cast<std::vector<ObjectIndex>*>(user)->push_back(entry.index);
-      },
-      &seen);
-  XlatEntry entry;
-  entry.index = 42;
-  cache.NotifyCertifiedHit(entry);
-  ASSERT_EQ(seen.size(), 1u);
-  EXPECT_EQ(seen[0], 42u);
-}
-
-// --- Addressing-unit epoch-keyed tier ---------------------------------------------------
+// --- Addressing-unit tier ---------------------------------------------------------------
 
 class XlatAddressingTest : public ::testing::Test {
  protected:
@@ -196,64 +170,6 @@ TEST_F(XlatConflictTest, AliasingObjectsEvictEachOtherAndStayCorrect) {
   EXPECT_EQ(cache_.Probe(a.index()).index, b.index());
 }
 
-TEST_F(XlatConflictTest, CertifiedEntryEvictedByAnAliasingEpochKeyedEntry) {
-  AccessDescriptor a = MakeObject();
-  AccessDescriptor b = MakeAliasingObject(a);
-  ASSERT_TRUE(machine_.addressing().WriteData(a, 0, 8, 111).ok());
-  ASSERT_TRUE(machine_.addressing().WriteData(b, 0, 8, 222).ok());
-
-  std::set<ObjectIndex> certified{a.index()};
-  cache_.SetCertifiedSet(&certified);
-  cache_.Clear();  // the kernel clears on every certified-set change; mirror that here
-
-  uint64_t certified_hits = cache_.stats().certified_hits;
-  ASSERT_TRUE(machine_.addressing().ReadData(a, 0, 8).ok());  // certified fill
-  ASSERT_TRUE(machine_.addressing().ReadData(a, 0, 8).ok());  // certified hit
-  EXPECT_TRUE(cache_.Probe(a.index()).certified);
-  EXPECT_GT(cache_.stats().certified_hits, certified_hits);
-
-  // The uncertified alias steals the slot: the certified entry is gone, not downgraded.
-  ASSERT_TRUE(machine_.addressing().ReadData(b, 0, 8).ok());
-  EXPECT_EQ(cache_.Probe(a.index()).index, b.index());
-  EXPECT_FALSE(cache_.Probe(a.index()).certified);
-
-  // The evicted object refills (compulsory miss) and re-certifies; values stay correct.
-  uint64_t misses = cache_.stats().misses;
-  auto read_a = machine_.addressing().ReadData(a, 0, 8);
-  ASSERT_TRUE(read_a.ok());
-  EXPECT_EQ(read_a.value(), 111u);
-  EXPECT_GT(cache_.stats().misses, misses);
-  EXPECT_TRUE(cache_.Probe(a.index()).certified);
-  cache_.SetCertifiedSet(nullptr);
-}
-
-TEST_F(XlatConflictTest, EpochKeyedEntryEvictedByAnAliasingCertifiedEntry) {
-  AccessDescriptor a = MakeObject();
-  AccessDescriptor b = MakeAliasingObject(a);
-  ASSERT_TRUE(machine_.addressing().WriteData(a, 0, 8, 111).ok());
-  ASSERT_TRUE(machine_.addressing().WriteData(b, 0, 8, 222).ok());
-
-  std::set<ObjectIndex> certified{b.index()};
-  cache_.SetCertifiedSet(&certified);
-  cache_.Clear();
-
-  ASSERT_TRUE(machine_.addressing().ReadData(a, 0, 8).ok());  // epoch-keyed fill
-  EXPECT_FALSE(cache_.Probe(a.index()).certified);
-
-  ASSERT_TRUE(machine_.addressing().ReadData(b, 0, 8).ok());  // certified fill evicts a
-  EXPECT_EQ(cache_.Probe(a.index()).index, b.index());
-  EXPECT_TRUE(cache_.Probe(b.index()).certified);
-
-  // Ping-pong stays correct in both directions under mixed tiers.
-  auto read_a = machine_.addressing().ReadData(a, 0, 8);
-  ASSERT_TRUE(read_a.ok());
-  EXPECT_EQ(read_a.value(), 111u);
-  auto read_b = machine_.addressing().ReadData(b, 0, 8);
-  ASSERT_TRUE(read_b.ok());
-  EXPECT_EQ(read_b.value(), 222u);
-  cache_.SetCertifiedSet(nullptr);
-}
-
 // --- Kernel integration ------------------------------------------------------------------
 
 // A self-contained workload: bumps a counter in the shared object `iters` times.
@@ -273,14 +189,12 @@ Assembler CounterLoop(const std::string& name, uint32_t iters) {
   return a;
 }
 
-SystemConfig CacheConfig(bool cache, bool audit) {
+SystemConfig CacheConfig() {
   SystemConfig config;
   config.machine = SmallConfig();
   config.processors = 1;
-  config.verify_on_load = true;  // summaries land at spawn, like the shipped configuration
+  config.verify_on_load = true;  // summaries land at spawn
   config.start_gc_daemon = false;
-  config.xlat_cache = cache;
-  config.interference_audit = audit;
   return config;
 }
 
@@ -309,76 +223,49 @@ RunOutcome RunCounterWorkload(System& system, uint32_t iters) {
   return outcome;
 }
 
-TEST(XlatKernelTest, DisabledByDefaultAndStatsStayZero) {
-  System system(CacheConfig(false, false));
-  RunCounterWorkload(system, 50);
-  EXPECT_FALSE(system.kernel().xlat_cache_enabled());
-  XlatCacheStats stats = system.kernel().xlat_stats();
-  EXPECT_EQ(stats.hits + stats.misses + stats.program_hits + stats.program_misses, 0u);
-}
-
 TEST(XlatKernelTest, HotLoopPopulatesBothCacheTiers) {
-  System system(CacheConfig(true, false));
+  System system(CacheConfig());
   RunOutcome outcome = RunCounterWorkload(system, 200);
   EXPECT_EQ(outcome.counter, 200u);
   XlatCacheStats stats = system.kernel().xlat_stats();
   EXPECT_GT(stats.hits, 0u);
-  // The instruction segment is written by no program: the program-fetch tier runs certified.
-  EXPECT_GT(stats.certified_program_hits, 0u);
-  EXPECT_GT(stats.program_misses, 0u);  // the compulsory fill
+  // One fill per segment, then every fetch of the 1000-step loop hits.
+  EXPECT_GT(stats.program_misses, 0u);
+  EXPECT_GT(stats.program_hits, 5 * stats.program_misses);
+  EXPECT_GE(stats.program_hits + stats.program_misses, outcome.instructions);
 }
 
+// "Off" is the engine that resolved every access and fetch through the object table and
+// the program store; these values were recorded from it. The cache serves host-side work
+// only, so the cached engine must reproduce them exactly, trace fingerprint included.
 TEST(XlatKernelTest, VirtualTimeAndResultsAreBitIdenticalOffAndOn) {
-  System off(CacheConfig(false, false));
-  System on(CacheConfig(true, true));
-  RunOutcome off_outcome = RunCounterWorkload(off, 300);
-  RunOutcome on_outcome = RunCounterWorkload(on, 300);
-  EXPECT_EQ(off_outcome.now, on_outcome.now);
-  EXPECT_EQ(off_outcome.instructions, on_outcome.instructions);
-  EXPECT_EQ(off_outcome.counter, on_outcome.counter);
-}
+  SystemConfig config = CacheConfig();
+  config.trace = true;
+  System system(config);
+  RunOutcome outcome = RunCounterWorkload(system, 300);
+  EXPECT_EQ(outcome.now, 14962u);
+  EXPECT_EQ(outcome.instructions, 1504u);
+  EXPECT_EQ(outcome.counter, 300u);
 
-TEST(XlatKernelTest, SystemConfigWiresCacheAndAuditor) {
-  System plain(CacheConfig(false, false));
-  EXPECT_FALSE(plain.kernel().xlat_cache_enabled());
-  EXPECT_EQ(plain.kernel().interference_auditor(), nullptr);
-
-  System armed(CacheConfig(true, true));
-  EXPECT_TRUE(armed.kernel().xlat_cache_enabled());
-  ASSERT_NE(armed.kernel().interference_auditor(), nullptr);
-}
-
-TEST(XlatKernelTest, AuditorConfirmsEveryCertifiedHitOnACleanRun) {
-  System system(CacheConfig(true, true));
-  RunCounterWorkload(system, 200);
-  const analysis::InterferenceAuditorStats& stats =
-      system.kernel().interference_auditor()->stats();
-  EXPECT_GT(stats.hits_checked, 0u);
-  EXPECT_EQ(stats.violations, 0u);
-  EXPECT_EQ(system.kernel().stats().interference_violations, 0u);
-}
-
-TEST(XlatKernelTest, NewSummaryInvalidatesEveryTranslationCache) {
-  System system(CacheConfig(true, false));
-  RunCounterWorkload(system, 100);
-  uint64_t invalidations = system.kernel().stats().xlat_invalidations;
-  EXPECT_GT(invalidations, 0u);  // the spawn's RecordEffectSummary already invalidated
-
-  // A second program entering the system retracts certificates again.
-  auto shared = system.memory().CreateObject(system.memory().global_heap(),
-                                             SystemType::kGeneric, 64, 0,
-                                             rights::kRead | rights::kWrite);
-  ASSERT_TRUE(shared.ok());
-  Assembler late = CounterLoop("xlat.late", 10);
-  ProcessOptions options;
-  options.initial_arg = shared.value();
-  ASSERT_TRUE(system.Spawn(late.Build(), options).ok());
-  EXPECT_GT(system.kernel().stats().xlat_invalidations, invalidations);
-  system.Run();
+  uint64_t fingerprint = 1469598103934665603ull;  // FNV-1a over every payload word
+  auto mix = [&fingerprint](uint64_t value) {
+    fingerprint ^= value;
+    fingerprint *= 1099511628211ull;
+  };
+  for (const TraceEvent& event : system.machine().trace().Snapshot()) {
+    mix(event.ts);
+    mix(event.process);
+    mix(event.a);
+    mix(event.b);
+    mix(event.c);
+    mix(event.cpu);
+    mix(static_cast<uint64_t>(event.kind));
+  }
+  EXPECT_EQ(fingerprint, 0xf4fef35bf9923986ull);
 }
 
 TEST(XlatKernelTest, ForgetProgramAnalysisClearsTheCaches) {
-  System system(CacheConfig(true, false));
+  System system(CacheConfig());
   RunCounterWorkload(system, 100);
   ASSERT_FALSE(system.kernel().interference_summaries().empty());
   ObjectIndex segment = system.kernel().interference_summaries().begin()->first;
@@ -389,7 +276,7 @@ TEST(XlatKernelTest, ForgetProgramAnalysisClearsTheCaches) {
 }
 
 TEST(XlatKernelTest, InterferenceSummariesRideAlongWithEffectSummaries) {
-  System system(CacheConfig(false, false));
+  System system(CacheConfig());
   RunCounterWorkload(system, 10);
   EXPECT_EQ(system.kernel().stats().interference_summaries,
             system.kernel().stats().effect_summaries);

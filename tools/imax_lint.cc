@@ -56,13 +56,11 @@ constexpr char kUsage[] =
     "              additionally run the interference & immutability analysis: the booted\n"
     "              system must come back clean, a seeded corpus (disjoint pair, shared-write\n"
     "              pair, immutable-after-publication, mutation-after-certification) must\n"
-    "              produce the ground-truth verdicts and certificates, and a live\n"
-    "              xlat-cache+audit quickstart must serve certified hits violation-free\n"
+    "              produce the ground-truth verdicts and certificates\n"
     "  --guards    additionally run the guard-dominance analysis: the booted system's\n"
     "              suppression accounting must balance, a seeded corpus (dominated read,\n"
     "              contended object, opaque program, fresh allocation) must produce the\n"
-    "              ground-truth certificates and retractions, and a live decode-cache+audit\n"
-    "              quickstart must execute check-elided with zero guard violations\n"
+    "              ground-truth certificates and retractions\n"
     "  --filing    additionally run the filing journal-integrity pass: a healthy journal\n"
     "              must replay whole, and a seeded corrupt-journal corpus (torn tail,\n"
     "              checksum-mismatched record, orphaned commit record) must be detected,\n"
@@ -759,9 +757,8 @@ int RunLifetimeChecks(System& system, bool dump) {
 // (the zero-false-positive tiers suppress the native daemons), a seeded corpus must keep
 // the disjoint pair independent, report the shared-write pair with named witnesses,
 // certify the read-only object strictly immutable, and retract that certificate the moment
-// a writer joins the graph — then a live xlat-cache+audit quickstart must serve certified
-// hits with zero auditor violations. Returns the number of failed expectations; -1 on
-// setup failure.
+// a writer joins the graph. Returns the number of failed expectations; -1 on setup
+// failure.
 int RunInterferenceChecks(System& system, bool dump) {
   int failures = 0;
 
@@ -898,60 +895,6 @@ int RunInterferenceChecks(System& system, bool dump) {
               late_cert != nullptr ? analysis::CacheGradeName(late_cert->grade) : "?",
               failures);
 
-  // --- Live quickstart: certified translation cache + runtime auditor, end to end. ---
-  std::printf("\n==== xlat-cache quickstart (xlat_cache + interference_audit) ====\n");
-  SystemConfig config;
-  config.processors = 1;
-  config.verify_on_load = true;
-  config.start_gc_daemon = false;  // the daemon's native steps caveat every certificate
-  config.xlat_cache = true;
-  config.interference_audit = true;
-  System demo(config);
-  auto shared = demo.memory().CreateObject(demo.memory().global_heap(),
-                                           SystemType::kGeneric, 64, 0,
-                                           rights::kRead | rights::kWrite);
-  if (!shared.ok() ||
-      !demo.machine().addressing().WriteData(shared.value(), 0, 8, 7).ok()) {
-    std::fprintf(stderr, "imax_lint: quickstart object creation failed\n");
-    return failures > 0 ? failures : -1;
-  }
-  Assembler loop_program("quickstart.reader");
-  auto loop = loop_program.NewLabel();
-  loop_program.MoveAd(1, kArgAdReg)
-      .LoadImm(0, 0)
-      .LoadImm(3, 256)
-      .Bind(loop)
-      .LoadData(2, 1, 0, 8)
-      .AddImm(0, 0, 1)
-      .BranchIfLess(0, 3, loop)
-      .Halt();
-  ProcessOptions options;
-  options.initial_arg = shared.value();
-  auto process = demo.Spawn(loop_program.Build(), options);
-  if (!process.ok()) {
-    std::fprintf(stderr, "imax_lint: quickstart spawn failed\n");
-    return failures > 0 ? failures : -1;
-  }
-  demo.Run();
-  XlatCacheStats stats = demo.kernel().xlat_stats();
-  const analysis::InterferenceAuditorStats& audit =
-      demo.kernel().interference_auditor()->stats();
-  std::printf("imax_lint: %llu certified hits, %llu certified program hits, %llu epoch "
-              "hits, %llu audited, %llu violations\n",
-              static_cast<unsigned long long>(stats.certified_hits),
-              static_cast<unsigned long long>(stats.certified_program_hits),
-              static_cast<unsigned long long>(stats.hits),
-              static_cast<unsigned long long>(audit.hits_checked),
-              static_cast<unsigned long long>(audit.violations));
-  if (stats.certified_hits == 0 || stats.certified_program_hits == 0) {
-    std::printf("^^^^ COLD CACHE — the hot read loop must serve certified hits on both "
-                "tiers\n");
-    ++failures;
-  }
-  if (audit.violations != 0 || demo.kernel().stats().interference_violations != 0) {
-    std::printf("^^^^ AUDIT VIOLATION — a certified translation went stale\n");
-    failures += static_cast<int>(audit.violations);
-  }
   return failures;
 }
 
@@ -960,8 +903,7 @@ int RunInterferenceChecks(System& system, bool dump) {
 // Phase 2 must never certify more than Phase 1 proved; a seeded corpus (dominated read over
 // a writer-free object, a writer retracting that certificate, an opaque program suppressing
 // every non-fresh site, fresh allocations surviving both) must produce the ground-truth
-// verdicts; and a live decode-cache+guard-audit quickstart must execute check-elided with
-// zero violations. Returns the number of failed expectations; -1 on setup failure.
+// verdicts. Returns the number of failed expectations; -1 on setup failure.
 int RunGuardChecks(System& system, bool dump) {
   int failures = 0;
 
@@ -1058,7 +1000,7 @@ int RunGuardChecks(System& system, bool dump) {
   bool reader_certified = false;
   for (const analysis::ElisionCertificate& cert : stage1.certificates) {
     if (cert.segment != reader_key) continue;
-    for (const analysis::ElidedCheck& check : cert.checks) {
+    for (const analysis::CertifiedCheck& check : cert.checks) {
       if (!check.fresh) reader_certified = true;
     }
   }
@@ -1114,61 +1056,6 @@ int RunGuardChecks(System& system, bool dump) {
               stage2.certified_fresh, stage3.checks_certified, stage3.certified_fresh,
               failures);
 
-  // --- Live quickstart: armed decode cache + guard auditor, end to end. -----------------
-  std::printf("\n==== decode-cache quickstart (decode_cache + guard_audit) ====\n");
-  SystemConfig config;
-  config.processors = 1;
-  config.verify_on_load = true;
-  config.start_gc_daemon = false;  // the daemon's native steps opaque the system
-  config.decode_cache = true;
-  config.guard_audit = true;
-  System demo(config);
-  Assembler hot("quickstart.alloc");
-  auto loop = hot.NewLabel();
-  hot.MoveAd(1, kArgAdReg)
-      .LoadImm(0, 0)
-      .LoadImm(3, 256)
-      .LoadImm(5, 41)
-      .Bind(loop)
-      .CreateObject(4, 1, 32)
-      .StoreData(4, 5, 0, 8)
-      .LoadData(6, 4, 0, 8)
-      .DestroyObject(4)
-      .AddImm(0, 0, 1)
-      .BranchIfLess(0, 3, loop)
-      .Halt();
-  ProcessOptions options;
-  options.initial_arg = demo.memory().global_heap();
-  auto process = demo.Spawn(hot.Build(), options);
-  if (!process.ok()) {
-    std::fprintf(stderr, "imax_lint: quickstart spawn failed\n");
-    return failures > 0 ? failures : -1;
-  }
-  demo.Run();
-  DecodeCacheStats dstats = demo.kernel().decode_stats();
-  const analysis::GuardAuditorStats& audit = demo.kernel().guard_auditor()->stats();
-  std::printf("imax_lint: %llu decode hits, %llu misses, %llu check-elided executions, "
-              "%llu audited, %llu violations\n",
-              static_cast<unsigned long long>(dstats.hits),
-              static_cast<unsigned long long>(dstats.misses),
-              static_cast<unsigned long long>(demo.kernel().stats().guard_elisions),
-              static_cast<unsigned long long>(audit.hits_checked),
-              static_cast<unsigned long long>(audit.violations));
-  if (dstats.hits == 0 || demo.kernel().stats().guard_elisions == 0 ||
-      audit.hits_checked == 0) {
-    std::printf("^^^^ COLD CACHE — the hot allocation loop must execute check-elided "
-                "decode hits under audit\n");
-    ++failures;
-  }
-  if (audit.violations != 0 || demo.kernel().stats().guard_violations != 0) {
-    std::printf("^^^^ AUDIT VIOLATION — a certified elision skipped a check that would "
-                "have failed\n");
-    failures += static_cast<int>(audit.violations);
-  }
-  AddFinding("guards", "quickstart.alloc",
-             audit.violations == 0 && demo.kernel().stats().guard_elisions > 0
-                 ? "clean"
-                 : "violation");
   return failures;
 }
 
