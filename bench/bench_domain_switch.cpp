@@ -8,6 +8,10 @@
 //   - InterDomainCall/us_per_call : should be ~65 us plus small return overhead
 //   - IntraDomainCall/us_per_call : the cheaper non-switching activation
 //   - CallDepth sweep             : cost is flat in depth (each call is one context)
+//
+// InterDomainCall also reports two deterministic host-work counters of the measured run, so
+// CI's drift gate pins them: addressing-unit accesses (translation-cache hits plus misses)
+// and std::function callback events, each per emulated instruction.
 
 #include "bench/bench_util.h"
 
@@ -18,9 +22,15 @@ using bench::DefaultConfig;
 using bench::MakeCarrier;
 using bench::ToUs;
 
+struct CallCost {
+  double us_per_call = 0;               // virtual us per call+return
+  double au_accesses_per_inst = 0;      // of the run with calls
+  double callback_events_per_inst = 0;  // of the run with calls
+};
+
 // Measures average virtual us per call+return for `calls` invocations of a domain entry.
 // `same_domain` selects intra-domain (CallLocal-style) versus inter-domain calls.
-double MeasureCallCost(int calls, bool same_domain, int depth = 1) {
+CallCost MeasureCallCost(int calls, bool same_domain, int depth = 1) {
   System system(DefaultConfig());
 
   // Callee chain: entry d calls entry d+1 until depth runs out, then returns.
@@ -93,6 +103,13 @@ double MeasureCallCost(int calls, bool same_domain, int depth = 1) {
   // empty-loop run.
   system.Run();
   Cycles with_calls = system.kernel().process_view(process.value()).consumed();
+  CallCost cost;
+  const XlatCacheStats xlat = system.kernel().xlat_stats();
+  const double instructions =
+      static_cast<double>(system.kernel().stats().instructions_executed);
+  cost.au_accesses_per_inst = static_cast<double>(xlat.hits + xlat.misses) / instructions;
+  cost.callback_events_per_inst =
+      static_cast<double>(system.machine().events().callback_scheduled()) / instructions;
 
   // Empty-loop calibration in a fresh system.
   System calibration(DefaultConfig());
@@ -110,24 +127,27 @@ double MeasureCallCost(int calls, bool same_domain, int depth = 1) {
   Cycles loop_only = calibration.kernel().process_view(empty_process.value()).consumed();
 
   Cycles per_call = (with_calls - loop_only) / static_cast<Cycles>(calls);
-  return ToUs(per_call);
+  cost.us_per_call = ToUs(per_call);
+  return cost;
 }
 
 void BM_InterDomainCall(benchmark::State& state) {
-  double us_per_call = 0;
+  CallCost cost;
   for (auto _ : state) {
-    us_per_call = MeasureCallCost(2000, /*same_domain=*/false);
+    cost = MeasureCallCost(2000, /*same_domain=*/false);
   }
-  state.counters["us_per_call_return"] = us_per_call;
+  state.counters["us_per_call_return"] = cost.us_per_call;
   state.counters["paper_us_per_switch"] = 65.0;
   state.counters["model_call_cycles"] = static_cast<double>(cycles::kDomainCall);
+  state.counters["au_accesses_per_inst"] = cost.au_accesses_per_inst;
+  state.counters["callback_events_per_inst"] = cost.callback_events_per_inst;
 }
 BENCHMARK(BM_InterDomainCall)->Iterations(1);
 
 void BM_IntraDomainCall(benchmark::State& state) {
   double us_per_call = 0;
   for (auto _ : state) {
-    us_per_call = MeasureCallCost(2000, /*same_domain=*/true);
+    us_per_call = MeasureCallCost(2000, /*same_domain=*/true).us_per_call;
   }
   state.counters["us_per_call_return"] = us_per_call;
 }
@@ -137,7 +157,7 @@ void BM_DomainCallByDepth(benchmark::State& state) {
   int depth = static_cast<int>(state.range(0));
   double us_per_call = 0;
   for (auto _ : state) {
-    us_per_call = MeasureCallCost(500, /*same_domain=*/false, depth);
+    us_per_call = MeasureCallCost(500, /*same_domain=*/false, depth).us_per_call;
   }
   // The figure: cost per call is flat in nesting depth (contexts are constant-cost).
   state.counters["depth"] = depth;

@@ -1,72 +1,8 @@
 #include "src/arch/addressing_unit.h"
 
-#include <cstring>
-
 #include "src/base/check.h"
 
 namespace imax432 {
-
-namespace {
-
-// Width-dispatched little-endian scalar access for the fused fast path: each case compiles
-// to a single fixed-size move instead of a variable-length memcpy call.
-inline uint64_t LoadScalar(const uint8_t* p, uint32_t width) {
-  switch (width) {
-    case 1:
-      return *p;
-    case 2: {
-      uint16_t v;
-      std::memcpy(&v, p, 2);
-      return v;
-    }
-    case 4: {
-      uint32_t v;
-      std::memcpy(&v, p, 4);
-      return v;
-    }
-    default: {
-      uint64_t v;
-      std::memcpy(&v, p, 8);
-      return v;
-    }
-  }
-}
-
-inline void StoreScalar(uint8_t* p, uint32_t width, uint64_t value) {
-  switch (width) {
-    case 1:
-      *p = static_cast<uint8_t>(value);
-      return;
-    case 2: {
-      uint16_t v = static_cast<uint16_t>(value);
-      std::memcpy(p, &v, 2);
-      return;
-    }
-    case 4: {
-      uint32_t v = static_cast<uint32_t>(value);
-      std::memcpy(p, &v, 4);
-      return;
-    }
-    default:
-      std::memcpy(p, &value, 8);
-      return;
-  }
-}
-
-// The fused fast path's per-access checks: every check CheckDataAccess performs, evaluated
-// on a cache-hit descriptor in one branch chain. Any failure sends the caller to the layered
-// slow path — which owns fault selection, so fault semantics are byte-identical to an
-// uncached resolve.
-inline bool FastDataAccessOk(const ObjectDescriptor& descriptor, const PhysicalMemory& memory,
-                             const AccessDescriptor& ad, uint32_t offset, uint32_t width,
-                             RightsMask required) {
-  return !descriptor.quarantined && !descriptor.swapped_out && ad.HasRights(required) &&
-         static_cast<uint64_t>(offset) + width <= descriptor.data_length &&
-         memory.InRange(descriptor.data_base + offset, width) &&
-         (width == 1 || width == 2 || width == 4 || width == 8);
-}
-
-}  // namespace
 
 Result<ObjectDescriptor*> AddressingUnit::ResolveAndFill(const AccessDescriptor& ad) const {
   ++xlat_->stats().misses;
@@ -105,13 +41,8 @@ Result<PhysAddr> AddressingUnit::CheckDataAccess(const AccessDescriptor& ad, uin
   return static_cast<PhysAddr>(object->data_base + offset);
 }
 
-Result<uint64_t> AddressingUnit::ReadData(const AccessDescriptor& ad, uint32_t offset,
-                                          uint32_t width) const {
-  ObjectDescriptor* hit = CacheHit(ad);
-  if (hit != nullptr && FastDataAccessOk(*hit, *memory_, ad, offset, width, rights::kRead)) {
-    ++xlat_->stats().hits;
-    return LoadScalar(memory_->at(hit->data_base + offset), width);
-  }
+Result<uint64_t> AddressingUnit::ReadDataSlow(const AccessDescriptor& ad, uint32_t offset,
+                                              uint32_t width) const {
   if (width != 1 && width != 2 && width != 4 && width != 8) {
     return Fault::kInvalidArgument;
   }
@@ -119,16 +50,8 @@ Result<uint64_t> AddressingUnit::ReadData(const AccessDescriptor& ad, uint32_t o
   return memory_->Read(addr, width);
 }
 
-Status AddressingUnit::WriteData(const AccessDescriptor& ad, uint32_t offset, uint32_t width,
-                                 uint64_t value) {
-  ObjectDescriptor* hit = CacheHit(ad);
-  if (hit != nullptr && FastDataAccessOk(*hit, *memory_, ad, offset, width, rights::kWrite)) {
-    ++xlat_->stats().hits;
-    StoreScalar(memory_->at(hit->data_base + offset), width, value);
-    // Same epoch bump as the slow path, on the descriptor already in hand.
-    ++hit->data_epoch;
-    return Status::Ok();
-  }
+Status AddressingUnit::WriteDataSlow(const AccessDescriptor& ad, uint32_t offset,
+                                     uint32_t width, uint64_t value) {
   if (width != 1 && width != 2 && width != 4 && width != 8) {
     return Fault::kInvalidArgument;
   }
@@ -138,6 +61,15 @@ Status AddressingUnit::WriteData(const AccessDescriptor& ad, uint32_t offset, ui
   // rewrite from silent corruption of the data part.
   ++table_->At(ad.index()).data_epoch;
   return Status::Ok();
+}
+
+Result<uint64_t> AddressingUnit::AddDataSlow(const AccessDescriptor& ad, uint32_t offset,
+                                             uint32_t width, uint64_t delta) {
+  // Exactly a read then a write, so fault order and side effects match the two calls.
+  IMAX_ASSIGN_OR_RETURN(uint64_t value, ReadData(ad, offset, width));
+  value = TruncateToWidth(value + delta, width);
+  IMAX_RETURN_IF_FAULT(WriteData(ad, offset, width, value));
+  return value;
 }
 
 Status AddressingUnit::ReadDataBlock(const AccessDescriptor& ad, uint32_t offset, void* out,
@@ -154,8 +86,8 @@ Status AddressingUnit::WriteDataBlock(const AccessDescriptor& ad, uint32_t offse
   return Status::Ok();
 }
 
-Result<AccessDescriptor> AddressingUnit::ReadAd(const AccessDescriptor& container,
-                                                uint32_t slot) const {
+Result<AccessDescriptor> AddressingUnit::ReadAdSlow(const AccessDescriptor& container,
+                                                    uint32_t slot) const {
   IMAX_ASSIGN_OR_RETURN(const ObjectDescriptor* object, CachedResolve(container));
   if (object->quarantined) {
     return Fault::kObjectQuarantined;

@@ -56,6 +56,7 @@ Kernel::Kernel(Machine* machine, MemoryManager* memory)
   effect_graph_.MarkExternalSender(default_dispatch_port_.index());
   effect_graph_.MarkExternalReceiver(default_dispatch_port_.index());
   effect_graph_.set_symbols(&symbols_);
+  machine_->events().SetHotHandler(&Kernel::RunHotEvent, this);
 
   // Hot-patching a segment (ProgramStore::Replace) invalidates every summary computed for
   // the old code.
@@ -111,7 +112,10 @@ Kernel::Kernel(Machine* machine, MemoryManager* memory)
   });
 }
 
-Kernel::~Kernel() { machine_->addressing().BindXlatCache(nullptr); }
+Kernel::~Kernel() {
+  machine_->addressing().BindXlatCache(nullptr);
+  machine_->events().SetHotHandler(nullptr, nullptr);
+}
 
 Status Kernel::AddProcessors(int count, const AccessDescriptor& dispatch_port) {
   AccessDescriptor port = dispatch_port.is_null() ? default_dispatch_port_ : dispatch_port;
@@ -134,7 +138,7 @@ Status Kernel::AddProcessors(int count, const AccessDescriptor& dispatch_port) {
                                        false, false, 0, XlatCache{}});
     machine_->profiler().OnProcessorAdded(id, machine_->now());
     // The processor comes online and immediately looks for work.
-    machine_->events().ScheduleAfter(0, [this, id] { ProcessorFetch(id); });
+    ScheduleFetch(machine_->now(), id);
   }
   // push_back may have reallocated processors_; drop any stale addressing-unit binding
   // until the next ProcessorStep rebinds the executing processor's cache.
@@ -482,6 +486,7 @@ Status Kernel::MakeReady(const AccessDescriptor& process) {
     NotifyEvent(process, ProcessEvent::kStopped);
     return Status::Ok();
   }
+  const ProcessState prior = proc.state();
   proc.set_state(ProcessState::kReady);
   proc.set_slice_used(0);
   AccessDescriptor port = proc.dispatch_port();
@@ -493,8 +498,13 @@ Status Kernel::MakeReady(const AccessDescriptor& process) {
   }
   // The hardware dispatching algorithm queues processes of any lifetime level, so this is a
   // privileged (microcode) store; stale ADs are filtered at dequeue.
-  return ports_.Enqueue(port, process, proc.priority(), proc.deadline(),
-                        /*privileged=*/true);
+  Status queued = ports_.Enqueue(port, process, proc.priority(), proc.deadline(),
+                                 /*privileged=*/true);
+  if (!queued.ok()) {
+    // Not in any queue, so not ready: the caller sees the fault with the state unchanged.
+    proc.set_state(prior);
+  }
+  return queued;
 }
 
 Status Kernel::PostMessage(const AccessDescriptor& port, const AccessDescriptor& message) {
@@ -543,8 +553,7 @@ void Kernel::BindProcess(ProcessorRec& rec, const AccessDescriptor& process) {
     proc.set_state(ProcessState::kStopped);
     NotifyEvent(process, ProcessEvent::kStopped);
     machine_->profiler().ChargeCpu(rec.id, CycleBucket::kDispatch, cycles::kDispatch);
-    machine_->events().ScheduleAfter(cycles::kDispatch,
-                                     [this, id = rec.id] { ProcessorFetch(id); });
+    ScheduleFetch(machine_->now() + cycles::kDispatch, rec.id);
     return;
   }
   ObjectView processor(&machine_->addressing(), rec.object);
@@ -580,7 +589,7 @@ void Kernel::BindProcess(ProcessorRec& rec, const AccessDescriptor& process) {
   machine_->latency().dispatch_latency.Record(done - machine_->now());
   machine_->trace().Emit(TraceEventKind::kDispatch, machine_->now(), rec.id, process.index(),
                          static_cast<uint32_t>(done - machine_->now()));
-  machine_->events().ScheduleAt(done, [this, id = rec.id] { ProcessorStep(id); });
+  ScheduleStep(done, rec.id);
 }
 
 void Kernel::ProcessorFetch(uint16_t processor_id) {
@@ -592,8 +601,7 @@ void Kernel::ProcessorFetch(uint16_t processor_id) {
     // Transient stall: come back for work once the processor re-arbitrates.
     machine_->profiler().ChargeCpu(processor_id, CycleBucket::kFaultRecovery,
                                    rec.stall_until - machine_->now());
-    machine_->events().ScheduleAt(rec.stall_until,
-                                  [this, processor_id] { ProcessorFetch(processor_id); });
+    ScheduleFetch(rec.stall_until, processor_id);
     return;
   }
   rec.current = AccessDescriptor();
@@ -623,8 +631,8 @@ void Kernel::ProcessorFetch(uint16_t processor_id) {
   ports_.PushWaitingProcessor(rec.dispatch_port, processor_id);
 }
 
-Cycles Kernel::ChargeCycles(ProcessorRec& rec, ProcessView& proc, Cycles compute, Cycles bus,
-                            CycleBucket bucket) {
+Kernel::Charge Kernel::ChargeCycles(ProcessorRec& rec, ProcessView& proc, Cycles compute,
+                                    Cycles bus, CycleBucket bucket) {
   Cycles start = machine_->now();
   Cycles after_compute = start + compute;
   CycleProfiler& profiler = machine_->profiler();
@@ -650,10 +658,29 @@ Cycles Kernel::ChargeCycles(ProcessorRec& rec, ProcessView& proc, Cycles compute
   }
   Cycles duration = done - start;
   proc.Increment(ProcessLayout::kOffConsumed, 8, duration);
-  proc.set_slice_used(proc.slice_used() + duration);
+  uint64_t slice_used = proc.Increment(ProcessLayout::kOffSliceUsed, 8, duration);
   ObjectView(&machine_->addressing(), rec.object)
       .Increment(ProcessorLayout::kOffBusyCycles, 8, duration);
-  return done;
+  return Charge{done, slice_used};
+}
+
+void Kernel::Requeue(const AccessDescriptor& process) {
+  Status ready = MakeReady(process);
+  if (!ready.ok()) {
+    // A full dispatching port is a fault like any other, delivered to the process.
+    ProcessView proc = process_view(process);
+    RaiseFault(proc, ready.fault());
+  }
+}
+
+void Kernel::RunHotEvent(void* kernel, uint32_t tag) {
+  Kernel* self = static_cast<Kernel*>(kernel);
+  uint16_t processor_id = static_cast<uint16_t>(tag >> 1);
+  if ((tag & kFetchTag) != 0) {
+    self->ProcessorFetch(processor_id);
+  } else {
+    self->ProcessorStep(processor_id);
+  }
 }
 
 void Kernel::ProcessorStep(uint16_t processor_id) {
@@ -665,8 +692,7 @@ void Kernel::ProcessorStep(uint16_t processor_id) {
     // Transient stall: the bound process resumes exactly here once the stall lifts.
     machine_->profiler().ChargeCpu(processor_id, CycleBucket::kFaultRecovery,
                                    rec.stall_until - machine_->now());
-    machine_->events().ScheduleAt(rec.stall_until,
-                                  [this, processor_id] { ProcessorStep(processor_id); });
+    ScheduleStep(rec.stall_until, processor_id);
     return;
   }
   // Per-processor translation cache: rebound every step so the addressing unit always
@@ -680,8 +706,7 @@ void Kernel::ProcessorStep(uint16_t processor_id) {
     proc.set_state(ProcessState::kStopped);
     NotifyEvent(rec.current, ProcessEvent::kStopped);
     machine_->profiler().ChargeCpu(processor_id, CycleBucket::kDispatch, cycles::kSimpleOp);
-    machine_->events().ScheduleAfter(cycles::kSimpleOp,
-                                     [this, processor_id] { ProcessorFetch(processor_id); });
+    ScheduleFetch(machine_->now() + cycles::kSimpleOp, processor_id);
     return;
   }
 
@@ -690,8 +715,7 @@ void Kernel::ProcessorStep(uint16_t processor_id) {
   if (!fetched.ok()) {
     RaiseFault(proc, fetched.fault());
     machine_->profiler().ChargeCpu(processor_id, CycleBucket::kFaultRecovery, cycles::kDispatch);
-    machine_->events().ScheduleAfter(cycles::kDispatch,
-                                     [this, processor_id] { ProcessorFetch(processor_id); });
+    ScheduleFetch(machine_->now() + cycles::kDispatch, processor_id);
     return;
   }
   const Program& program = *fetched.value();
@@ -737,9 +761,8 @@ void Kernel::ProcessorStep(uint16_t processor_id) {
       if (cost.ok()) {
         ctx.set_pc(pc);
         ++stats_.swap_faults;
-        Cycles done = ChargeCycles(rec, proc, cost.value(), 0, CycleBucket::kMemoryWait);
-        machine_->events().ScheduleAt(done,
-                                      [this, processor_id] { ProcessorStep(processor_id); });
+        ScheduleStep(ChargeCycles(rec, proc, cost.value(), 0, CycleBucket::kMemoryWait).done,
+                     processor_id);
         return;
       }
       fault = cost.fault();
@@ -747,13 +770,13 @@ void Kernel::ProcessorStep(uint16_t processor_id) {
     ctx.set_pc(pc);  // the process faulted *at* this instruction
     RaiseFault(proc, fault);
     machine_->profiler().ChargeCpu(processor_id, CycleBucket::kFaultRecovery, cycles::kDispatch);
-    machine_->events().ScheduleAfter(cycles::kDispatch,
-                                     [this, processor_id] { ProcessorFetch(processor_id); });
+    ScheduleFetch(machine_->now() + cycles::kDispatch, processor_id);
     return;
   }
   const StepEffect effect = stepped.value();
 
-  Cycles done = ChargeCycles(rec, proc, effect.compute, effect.bus);
+  const Charge charge = ChargeCycles(rec, proc, effect.compute, effect.bus);
+  const Cycles done = charge.done;
   if (sampled_site) {
     // now() is constant for the duration of this event, so done - now() is the full
     // modeled duration the instruction just charged.
@@ -763,44 +786,36 @@ void Kernel::ProcessorStep(uint16_t processor_id) {
 
   switch (effect.kind) {
     case StepEffect::Kind::kContinue: {
-      if (proc.slice_used() >= machine_->config().time_slice) {
+      if (charge.slice_used >= machine_->config().time_slice) {
         // Time-slice end: implicit hardware rescheduling. The requeue happens at the
         // instruction's completion time so the process cannot overlap itself on another
         // processor.
         ++stats_.time_slice_ends;
         machine_->trace().Emit(TraceEventKind::kPreempt, done, rec.id, rec.current.index());
         proc.set_slice_used(0);
-        machine_->events().ScheduleAt(done, [this, process = rec.current] {
-          IMAX_CHECK(MakeReady(process).ok());
-        });
         machine_->events().ScheduleAt(done,
-                                      [this, processor_id] { ProcessorFetch(processor_id); });
+                                      [this, process = rec.current] { Requeue(process); });
+        ScheduleFetch(done, processor_id);
       } else {
-        machine_->events().ScheduleAt(done,
-                                      [this, processor_id] { ProcessorStep(processor_id); });
+        ScheduleStep(done, processor_id);
       }
       break;
     }
     case StepEffect::Kind::kYield: {
       proc.set_slice_used(0);
-      machine_->events().ScheduleAt(done, [this, process = rec.current] {
-        IMAX_CHECK(MakeReady(process).ok());
-      });
-      machine_->events().ScheduleAt(done,
-                                    [this, processor_id] { ProcessorFetch(processor_id); });
+      machine_->events().ScheduleAt(done, [this, process = rec.current] { Requeue(process); });
+      ScheduleFetch(done, processor_id);
       break;
     }
     case StepEffect::Kind::kBlocked: {
       ++stats_.blocks;
-      machine_->events().ScheduleAt(done,
-                                    [this, processor_id] { ProcessorFetch(processor_id); });
+      ScheduleFetch(done, processor_id);
       break;
     }
     case StepEffect::Kind::kTerminated: {
       TerminateProcess(proc, /*faulted=*/false);
       NotifyEvent(rec.current, ProcessEvent::kTerminated);
-      machine_->events().ScheduleAt(done,
-                                    [this, processor_id] { ProcessorFetch(processor_id); });
+      ScheduleFetch(done, processor_id);
       break;
     }
   }

@@ -100,7 +100,8 @@ class Kernel {
   using RootProviderFn = std::function<void(std::vector<AccessDescriptor>*)>;
 
   Kernel(Machine* machine, MemoryManager* memory);
-  // Unbinds the processors' translation caches: the machine's addressing unit outlives them.
+  // Unbinds the processors' translation caches and the step/fetch event handler: the
+  // machine's addressing unit and event queue outlive them.
   ~Kernel();
 
   Kernel(const Kernel&) = delete;
@@ -403,11 +404,36 @@ class Kernel {
   // objects bulk-reclaimed (0 when the context never demoted an allocation).
   uint32_t ReclaimDemoteSro(uint16_t cpu, ProcessView& proc, ContextView& ctx);
 
-  // Charges `compute` + `bus` starting at now(); returns completion time. `bucket` names
-  // the attribution bin the compute portion lands in when the profiler or span tracer is
-  // armed (bus wait/transfer split out automatically via BusGrant).
-  Cycles ChargeCycles(ProcessorRec& rec, ProcessView& proc, Cycles compute, Cycles bus,
+  // What ChargeCycles leaves behind: the completion time and the process's slice usage
+  // including this charge.
+  struct Charge {
+    Cycles done = 0;
+    uint64_t slice_used = 0;
+  };
+
+  // Charges `compute` + `bus` starting at now() to the process's consumed and slice-used
+  // counters and the processor's busy counter. `bucket` names the attribution bin the
+  // compute portion lands in when the profiler or span tracer is armed (bus wait/transfer
+  // split out automatically via BusGrant).
+  Charge ChargeCycles(ProcessorRec& rec, ProcessView& proc, Cycles compute, Cycles bus,
                       CycleBucket bucket = CycleBucket::kInterpreter);
+
+  // Returns a process to the dispatching mix at a time-slice end or a yield. A failed
+  // MakeReady (a full dispatching port) is delivered to the process through RaiseFault.
+  void Requeue(const AccessDescriptor& process);
+
+  // The per-step events are hot events on the machine's queue (EventQueue::ScheduleHotAt):
+  // the tag is the processor id shifted left by one, with kFetchTag set for a
+  // ProcessorFetch and clear for a ProcessorStep. RunHotEvent is the registered handler.
+  static constexpr uint32_t kFetchTag = 1;
+  void ScheduleStep(Cycles when, uint16_t processor_id) {
+    machine_->events().ScheduleHotAt(when, static_cast<uint32_t>(processor_id) << 1);
+  }
+  void ScheduleFetch(Cycles when, uint16_t processor_id) {
+    machine_->events().ScheduleHotAt(when,
+                                     (static_cast<uint32_t>(processor_id) << 1) | kFetchTag);
+  }
+  static void RunHotEvent(void* kernel, uint32_t tag);
 
   Machine* machine_;
   MemoryManager* memory_;

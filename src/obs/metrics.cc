@@ -128,12 +128,16 @@ MetricsRegistry::MetricsRegistry(System* system) {
   Machine* machine = &system->machine();
   clock_ = [machine] { return machine->now(); };
   Add("kernel", [system] {
-    // The translation-cache counters are host work, but deterministic: the simulation
-    // drives every probe, so they gate like virtual-time counters.
+    // The translation-cache and event counters are host work, but deterministic: the
+    // simulation drives every probe and every schedule, so they gate like virtual-time
+    // counters.
     CounterMap counters = CountersFor(system->kernel().stats());
     for (auto& counter : CountersFor(system->kernel().xlat_stats())) {
       counters.push_back(std::move(counter));
     }
+    const EventQueue& events = system->machine().events();
+    counters.emplace_back("hot_events_scheduled", events.hot_scheduled());
+    counters.emplace_back("callback_events_scheduled", events.callback_scheduled());
     return counters;
   });
   Add("ports", [system] { return CountersFor(system->kernel().ports().stats()); });

@@ -1,5 +1,8 @@
 #include "src/proc/layouts.h"
 
+#include <cstdio>
+#include <cstdlib>
+
 namespace imax432 {
 
 const char* ProcessStateName(ProcessState state) {
@@ -20,6 +23,13 @@ const char* ProcessStateName(ProcessState state) {
       return "terminated";
   }
   return "?";
+}
+
+void ObjectView::FieldFault(const char* op, Fault fault, uint32_t offset,
+                            uint32_t width) const {
+  std::fprintf(stderr, "ObjectView::%s fault %s: object %u offset %u width %u\n", op,
+               FaultName(fault), ad_.index(), offset, width);
+  std::abort();
 }
 
 }  // namespace imax432

@@ -194,22 +194,23 @@ class ObjectView {
   uint64_t Field(uint32_t offset, uint32_t width) const {
     auto value = unit_->ReadData(ad_, offset, width);
     if (!value.ok()) {
-      std::fprintf(stderr, "ObjectView::Field fault %s: object %u offset %u width %u\n",
-                   FaultName(value.fault()), ad_.index(), offset, width);
-      IMAX_CHECK(value.ok());
+      FieldFault("Field", value.fault(), offset, width);
     }
-    return value.value();
+    return *value;
   }
   void SetField(uint32_t offset, uint32_t width, uint64_t value) {
     Status status = unit_->WriteData(ad_, offset, width, value);
     if (!status.ok()) {
-      std::fprintf(stderr, "ObjectView::SetField fault %s: object %u offset %u width %u\n",
-                   FaultName(status.fault()), ad_.index(), offset, width);
-      IMAX_CHECK(status.ok());
+      FieldFault("SetField", status.fault(), offset, width);
     }
   }
-  void Increment(uint32_t offset, uint32_t width, uint64_t delta = 1) {
-    SetField(offset, width, Field(offset, width) + delta);
+  // Adds `delta` to a counter field on one translation; returns the new value.
+  uint64_t Increment(uint32_t offset, uint32_t width, uint64_t delta = 1) {
+    auto value = unit_->AddData(ad_, offset, width, delta);
+    if (!value.ok()) {
+      FieldFault("Increment", value.fault(), offset, width);
+    }
+    return *value;
   }
 
   AccessDescriptor Slot(uint32_t slot) const {
@@ -228,6 +229,13 @@ class ObjectView {
   AddressingUnit* unit() const { return unit_; }
 
  private:
+  // A kernel-layout field access faulted: the object is not what the kernel built. Reports
+  // the access and aborts; out of line and cold, which keeps the report off the accessors'
+  // hit path.
+  [[noreturn]] __attribute__((cold, noinline)) void FieldFault(const char* op, Fault fault,
+                                                               uint32_t offset,
+                                                               uint32_t width) const;
+
   AddressingUnit* unit_;
   AccessDescriptor ad_;
 };

@@ -188,5 +188,75 @@ TEST_F(AddressingUnitTest, SwappedOutSegmentFaults) {
   EXPECT_TRUE(unit_.WriteAd(container, 0, ad).ok());
 }
 
+TEST_F(AddressingUnitTest, AddDataReturnsTheStoredSumOnOneTranslation) {
+  XlatCache cache;
+  unit_.BindXlatCache(&cache);
+  AccessDescriptor ad = MakeObject(0, 16, 0, rights::kRead | rights::kWrite);
+  ASSERT_TRUE(unit_.WriteData(ad, 0, 8, 40).ok());
+  ASSERT_TRUE(unit_.WriteData(ad, 8, 1, 0xff).ok());
+  const uint32_t epoch = table_.At(ad.index()).data_epoch;
+  const uint64_t accesses = cache.stats().hits + cache.stats().misses;
+
+  auto sum = unit_.AddData(ad, 0, 8, 2);
+  ASSERT_TRUE(sum.ok());
+  EXPECT_EQ(sum.value(), 42u);
+  EXPECT_EQ(unit_.ReadData(ad, 0, 8).value(), 42u);
+  // The sum wraps at the field's width, and the return value is what was stored.
+  auto wrapped = unit_.AddData(ad, 8, 1, 3);
+  ASSERT_TRUE(wrapped.ok());
+  EXPECT_EQ(wrapped.value(), 2u);
+  EXPECT_EQ(unit_.ReadData(ad, 8, 1).value(), 2u);
+  EXPECT_EQ(unit_.ReadData(ad, 9, 1).value(), 0u);
+  // One epoch bump and one translation per update (plus the three reads above).
+  EXPECT_EQ(table_.At(ad.index()).data_epoch, epoch + 2);
+  EXPECT_EQ(cache.stats().hits + cache.stats().misses, accesses + 5);
+  unit_.BindXlatCache(nullptr);
+}
+
+TEST_F(AddressingUnitTest, AddDataNeedsWriteRightAndLeavesReadOnlyObjectsUntouched) {
+  AccessDescriptor full = MakeObject(0, 16, 0, rights::kRead | rights::kWrite);
+  ASSERT_TRUE(unit_.WriteData(full, 0, 4, 7).ok());
+  AccessDescriptor read_only = full.Restricted(rights::kRead);
+  const uint32_t epoch = table_.At(full.index()).data_epoch;
+  EXPECT_EQ(unit_.AddData(read_only, 0, 4, 1).fault(), Fault::kRightsViolation);
+  EXPECT_EQ(unit_.ReadData(full, 0, 4).value(), 7u);
+  EXPECT_EQ(table_.At(full.index()).data_epoch, epoch);
+  // Without read rights the read half faults first, as ReadData would.
+  EXPECT_EQ(unit_.AddData(full.Restricted(rights::kWrite), 0, 4, 1).fault(),
+            Fault::kRightsViolation);
+  EXPECT_EQ(table_.At(full.index()).data_epoch, epoch);
+}
+
+TEST_F(AddressingUnitTest, AddDataOnASwappedObjectFaultsForTheMemoryManager) {
+  // A swap fault on another object first, so the fault-information area must change.
+  AccessDescriptor other = MakeObject(0, 8, 0, rights::kRead | rights::kWrite);
+  table_.At(other.index()).swapped_out = true;
+  ASSERT_EQ(unit_.ReadData(other, 0, 4).fault(), Fault::kSegmentSwapped);
+  AccessDescriptor ad = MakeObject(0, 32, 0, rights::kRead | rights::kWrite);
+  ASSERT_TRUE(unit_.AddData(ad, 0, 4, 1).ok());  // warm translation
+  table_.At(ad.index()).swapped_out = true;
+  const uint32_t epoch = table_.At(ad.index()).data_epoch;
+  EXPECT_EQ(unit_.AddData(ad, 0, 4, 1).fault(), Fault::kSegmentSwapped);
+  EXPECT_EQ(unit_.last_swapped_object(), ad.index());
+  EXPECT_EQ(table_.At(ad.index()).data_epoch, epoch);
+}
+
+TEST_F(AddressingUnitTest, AddDataFaultsLikeReadAndWriteData) {
+  AccessDescriptor ad = MakeObject(0, 16, 0, rights::kRead | rights::kWrite);
+  // Out of bounds: the field straddles the end of the data part.
+  EXPECT_EQ(unit_.AddData(ad, 13, 4, 1).fault(), unit_.ReadData(ad, 13, 4).fault());
+  EXPECT_EQ(unit_.AddData(ad, 13, 4, 1).fault(), Fault::kBoundsViolation);
+  EXPECT_EQ(unit_.AddData(ad, 0, 3, 1).fault(), Fault::kInvalidArgument);
+  EXPECT_EQ(unit_.AddData(AccessDescriptor(), 0, 4, 1).fault(), Fault::kNullAccess);
+  // Quarantined: rep-rights revoked for reads, writes and read-modify-writes alike.
+  ASSERT_TRUE(unit_.AddData(ad, 0, 4, 1).ok());
+  table_.At(ad.index()).quarantined = true;
+  const uint32_t epoch = table_.At(ad.index()).data_epoch;
+  EXPECT_EQ(unit_.ReadData(ad, 0, 4).fault(), Fault::kObjectQuarantined);
+  EXPECT_EQ(unit_.WriteData(ad, 0, 4, 1).fault(), Fault::kObjectQuarantined);
+  EXPECT_EQ(unit_.AddData(ad, 0, 4, 1).fault(), Fault::kObjectQuarantined);
+  EXPECT_EQ(table_.At(ad.index()).data_epoch, epoch);
+}
+
 }  // namespace
 }  // namespace imax432

@@ -5,7 +5,8 @@
 // through ProgramStore::FetchCached. The other side runs ReferenceAu below, an executable
 // model of the 432's translation and protection checks that resolves every access through
 // ObjectTable::Resolve, and fetches through the uncached ProgramStore::Fetch. The sequence
-// mixes data and access-part reads and writes, rights restriction, out-of-bounds offsets and
+// mixes data and access-part reads and writes, counter read-modify-writes (AddData, whose
+// reference is a read then a write), rights restriction, out-of-bounds offsets and
 // slots, invalid widths, the level rule, free-and-reallocate of the same table slot (stale
 // generations), quarantine, swap-out, and program Register / Replace / Forget. Every result
 // and every fault must agree, and so must the object state both sides leave behind.
@@ -46,6 +47,16 @@ class ReferenceAu {
     IMAX_RETURN_IF_FAULT(memory_->Write(addr, width, value));
     ++table_->At(ad.index()).data_epoch;
     return Status::Ok();
+  }
+
+  // A read, then a write of the sum truncated to the width: AddData's architectural meaning.
+  Result<uint64_t> AddData(const AccessDescriptor& ad, uint32_t offset, uint32_t width,
+                           uint64_t delta) {
+    IMAX_ASSIGN_OR_RETURN(uint64_t value, ReadData(ad, offset, width));
+    value += delta;
+    if (width < 8) value &= (uint64_t{1} << (8 * width)) - 1;
+    IMAX_RETURN_IF_FAULT(WriteData(ad, offset, width, value));
+    return value;
   }
 
   Result<AccessDescriptor> ReadAd(const AccessDescriptor& container, uint32_t slot) {
@@ -217,7 +228,7 @@ TEST_P(XlatDifferentialTest, CachedPathsMatchTheUncachedReferenceStepForStep) {
   constexpr uint32_t kWidths[] = {1, 2, 4, 8, 8, 3};
 
   for (uint64_t step = 0; step < kSteps; ++step) {
-    switch (rng.NextBelow(16)) {
+    switch (rng.NextBelow(18)) {
       case 0:
       case 1:
       case 2: {  // data read
@@ -332,6 +343,32 @@ TEST_P(XlatDifferentialTest, CachedPathsMatchTheUncachedReferenceStepForStep) {
           AccessDescriptor segment = segments[rng.NextBelow(segments.size())];
           cached_.programs.Forget(segment.index());
           ref_.programs.Forget(segment.index());
+        }
+        break;
+      }
+      case 14:
+      case 15: {  // counter read-modify-write on one translation
+        AccessDescriptor ad = any_ad();
+        uint32_t offset = offset_for(ad);
+        uint32_t width = kWidths[rng.NextBelow(6)];
+        uint64_t delta = rng.NextChance(1, 4) ? rng.Next() : rng.NextBelow(1000);
+        auto a = au().AddData(ad, offset, width, delta);
+        auto b = reference_.AddData(ad, offset, width, delta);
+        ASSERT_EQ(a.ok(), b.ok()) << "AddData at step " << step;
+        if (a.ok()) {
+          EXPECT_EQ(a.value(), b.value()) << "AddData at step " << step;
+        } else {
+          ExpectSameFault(a.fault(), b.fault(), step, "AddData");
+        }
+        if (ad.index() < cached_.machine.table().capacity()) {
+          const ObjectDescriptor& da = cached_.machine.table().At(ad.index());
+          const ObjectDescriptor& db = ref_.machine.table().At(ad.index());
+          EXPECT_EQ(da.data_epoch, db.data_epoch) << "AddData at step " << step;
+          if (a.ok()) {
+            EXPECT_EQ(cached_.machine.memory().Read(da.data_base + offset, width).value(),
+                      ref_.machine.memory().Read(db.data_base + offset, width).value())
+                << "AddData at step " << step;
+          }
         }
         break;
       }

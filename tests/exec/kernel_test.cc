@@ -462,6 +462,102 @@ TEST_F(KernelTest, TimeSlicingInterleavesProcesses) {
   EXPECT_GT(kernel.stats().time_slice_ends, 2u);
 }
 
+// One GDP dispatching from a capacity-1 port: the processor is parked idle, `first` is
+// handed to it directly and `second` fills the port. Requeueing `first` (at a time-slice end
+// or a yield) then finds the port full.
+struct FullDispatchPort {
+  explicit FullDispatchPort(Cycles time_slice) : machine(Config(time_slice)), memory(&machine),
+                                                 kernel(&machine, &memory) {}
+
+  static MachineConfig Config(Cycles time_slice) {
+    MachineConfig config = SmallConfig();
+    config.time_slice = time_slice;
+    return config;
+  }
+
+  void Start(ProgramRef first_program, ProgramRef second_program) {
+    auto created = kernel.ports().CreatePort(memory.global_heap(), 1,
+                                             QueueDiscipline::kPriority);
+    ASSERT_TRUE(created.ok());
+    port = created.value();
+    ASSERT_TRUE(kernel.AddProcessors(1, port).ok());
+    kernel.Run();  // the processor finds nothing and parks at the port
+    ProcessOptions options;
+    options.dispatch_port = port;
+    auto a = kernel.CreateProcess(std::move(first_program), options);
+    auto b = kernel.CreateProcess(std::move(second_program), options);
+    ASSERT_TRUE(a.ok() && b.ok());
+    first = a.value();
+    second = b.value();
+    ASSERT_TRUE(kernel.StartProcess(first).ok());
+    ASSERT_TRUE(kernel.StartProcess(second).ok());
+  }
+
+  Machine machine;
+  BasicMemoryManager memory;
+  Kernel kernel;
+  AccessDescriptor port;
+  AccessDescriptor first;
+  AccessDescriptor second;
+};
+
+ProgramRef Spinner(const char* name, uint64_t rounds) {
+  Assembler a(name);
+  auto loop = a.NewLabel();
+  a.LoadImm(0, 0).LoadImm(1, rounds).Bind(loop).Compute(100).AddImm(0, 0, 1).BranchIfLess(
+      0, 1, loop);
+  a.Halt();
+  return a.Build();
+}
+
+TEST(KernelDispatchPortTest, SliceEndOnAFullDispatchingPortFaultsTheProcess) {
+  FullDispatchPort rig(/*time_slice=*/2000);
+  rig.Start(Spinner("spin1", 50), Spinner("spin2", 50));
+  if (::testing::Test::HasFatalFailure()) return;
+
+  // A third start finds the port full: the fault comes back and the process stays an
+  // embryo, outside every queue, instead of being stranded as kReady.
+  ProcessOptions third_options;
+  third_options.dispatch_port = rig.port;
+  auto stranded = rig.kernel.CreateProcess(Spinner("spin3", 5), third_options);
+  ASSERT_TRUE(stranded.ok());
+  EXPECT_EQ(rig.kernel.StartProcess(stranded.value()).fault(), Fault::kQueueFull);
+  EXPECT_EQ(rig.kernel.process_view(stranded.value()).state(), ProcessState::kEmbryo);
+
+  rig.kernel.Run();
+  ProcessView first = rig.kernel.process_view(rig.first);
+  EXPECT_EQ(first.fault_code(), Fault::kQueueFull);
+  EXPECT_EQ(first.state(), ProcessState::kTerminated);
+  ProcessView second = rig.kernel.process_view(rig.second);
+  EXPECT_EQ(second.fault_code(), Fault::kNone);
+  EXPECT_EQ(second.state(), ProcessState::kTerminated);
+  EXPECT_EQ(rig.kernel.stats().faults_delivered, 1u);
+  EXPECT_GT(rig.kernel.stats().time_slice_ends, 1u);
+
+  // The rejected process can be started once the port has room.
+  ASSERT_TRUE(rig.kernel.StartProcess(stranded.value()).ok());
+  rig.kernel.Run();
+  EXPECT_EQ(rig.kernel.process_view(stranded.value()).state(), ProcessState::kTerminated);
+  EXPECT_EQ(rig.kernel.process_view(stranded.value()).fault_code(), Fault::kNone);
+}
+
+TEST(KernelDispatchPortTest, YieldOnAFullDispatchingPortFaultsTheProcess) {
+  FullDispatchPort rig(/*time_slice=*/1000000);
+  Assembler yielder("yielder");
+  yielder.LoadImm(0, 1).OsCall(os_service::kYield).LoadImm(0, 2).Halt();
+  rig.Start(yielder.Build(), Spinner("spin", 5));
+  if (::testing::Test::HasFatalFailure()) return;
+
+  rig.kernel.Run();
+  ProcessView first = rig.kernel.process_view(rig.first);
+  EXPECT_EQ(first.fault_code(), Fault::kQueueFull);
+  EXPECT_EQ(first.state(), ProcessState::kTerminated);
+  ProcessView second = rig.kernel.process_view(rig.second);
+  EXPECT_EQ(second.fault_code(), Fault::kNone);
+  EXPECT_EQ(second.state(), ProcessState::kTerminated);
+  EXPECT_EQ(rig.kernel.stats().faults_delivered, 1u);
+}
+
 TEST_F(KernelTest, TwoProcessorsRunInParallel) {
   // The same two spinners on 1 vs 2 processors: the 2-processor makespan must be close to
   // half (pure compute, negligible bus traffic).

@@ -62,6 +62,12 @@ TEST(MetricsRegistryTest, CountersMatchSourceStats) {
   EXPECT_EQ(find("kernel", "dispatches"), system.kernel().stats().dispatches);
   EXPECT_EQ(find("kernel", "instructions_executed"),
             system.kernel().stats().instructions_executed);
+  // Every executed instruction scheduled its processor's next step or fetch as a hot event.
+  EXPECT_EQ(find("kernel", "hot_events_scheduled"), system.machine().events().hot_scheduled());
+  EXPECT_GE(find("kernel", "hot_events_scheduled"),
+            system.kernel().stats().instructions_executed);
+  EXPECT_EQ(find("kernel", "callback_events_scheduled"),
+            system.machine().events().callback_scheduled());
   EXPECT_EQ(find("memory", "objects_created"), system.memory().stats().objects_created);
   EXPECT_EQ(find("machine", "trace_events_recorded"),
             system.machine().trace().total_emitted());
