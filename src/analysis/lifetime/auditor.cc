@@ -5,14 +5,9 @@
 namespace imax432 {
 namespace analysis {
 
-void LifetimeAuditor::OnDemoted(ObjectIndex object, uint32_t generation, ObjectIndex sro,
-                                ObjectIndex segment, uint32_t pc) {
-  Entry entry;
-  entry.generation = generation;
-  entry.sro = sro;
-  entry.segment = segment;
-  entry.pc = pc;
-  demoted_[object] = entry;
+void LifetimeAuditor::OnDemoted(ObjectIndex object, ObjectIndex sro, ObjectIndex segment,
+                                uint32_t pc) {
+  demoted_[object] = Entry{sro, segment, pc};
   ++stats_.demoted_tracked;
 }
 
@@ -23,21 +18,15 @@ std::vector<LifetimeViolation> LifetimeAuditor::AuditScopeExit(const ObjectTable
                                                                ObjectIndex owner_context) {
   ++stats_.scopes_audited;
 
-  // The dying population: tracked entries from this SRO whose table slot still holds the
-  // same incarnation. (A stale generation means the object was already reclaimed and the
-  // index possibly reused — that object is not being destroyed now.) Entries are copied:
-  // the tracking map drops them below.
+  // The dying population: the tracked entries from this SRO, each a live object. They are
+  // moved out: the caller bulk-destroys the SRO right after this audit.
   std::map<ObjectIndex, Entry> population;
   for (auto it = demoted_.begin(); it != demoted_.end();) {
     if (it->second.sro != sro) {
       ++it;
       continue;
     }
-    const ObjectDescriptor& descriptor = table.At(it->first);
-    if (descriptor.allocated && descriptor.generation == it->second.generation) {
-      population.emplace(it->first, it->second);
-    }
-    // Dropped either way: the caller bulk-destroys the SRO right after this audit.
+    population.emplace(it->first, it->second);
     it = demoted_.erase(it);
   }
 
@@ -53,8 +42,7 @@ std::vector<LifetimeViolation> LifetimeAuditor::AuditScopeExit(const ObjectTable
       const AccessDescriptor& ad = descriptor.access[slot];
       if (ad.is_null()) continue;
       auto member = population.find(ad.index());
-      if (member == population.end() ||
-          ad.generation() != member->second.generation) {
+      if (member == population.end() || ad.generation() != table.At(ad.index()).generation) {
         continue;
       }
       LifetimeViolation violation;

@@ -3,18 +3,14 @@
 // The static pass (lifetime.h) proves sites context-local; the kernel then allocates them
 // from a per-context demote SRO, marks them GC-exempt, and bulk-destroys the SRO at context
 // exit. This auditor validates that bargain against the concrete execution
-// (SystemConfig::lifetime_audit): the kernel registers every demoted allocation, and at each
-// scope exit — immediately before the demote SRO dies — the auditor flat-scans every other
+// (SystemConfig::lifetime_audit): the observer bus registers every demoted allocation, and at
+// each scope exit — immediately before the demote SRO dies — the auditor flat-scans every other
 // live object's access part for an AD still naming a member of the dying population. Any hit
 // is a violation: the static analysis called an escaping site demotable, and the bulk
 // destroy is about to turn a live AD dangling (the generation check would fault it on use;
-// the auditor catches the lie at its source). The kernel raises a kLifetimeViolation trace
-// event per hit.
-//
-// Pure observer, same contract as the race sanitizer (races/sanitizer.h): nothing here
-// consumes virtual time, so the simulated timeline is bit-identical with the audit on or
-// off, preserving the PR 5 replay contract. Entries are keyed by (index, generation): an
-// object reclaimed early (explicit destroy) simply fails the generation check and drops out.
+// the auditor catches the lie at its source). The bus records a kLifetimeViolation trace
+// event per hit. Every destruction path reports the object (OnObjectDestroyed), so a
+// tracked entry always names a live object.
 
 #ifndef IMAX432_SRC_ANALYSIS_LIFETIME_AUDITOR_H_
 #define IMAX432_SRC_ANALYSIS_LIFETIME_AUDITOR_H_
@@ -51,10 +47,9 @@ class LifetimeAuditor {
  public:
   // Registers one demoted allocation. `sro` is the demote SRO it came from; (segment, pc)
   // identify the allocation site for diagnostics.
-  void OnDemoted(ObjectIndex object, uint32_t generation, ObjectIndex sro,
-                 ObjectIndex segment, uint32_t pc);
+  void OnDemoted(ObjectIndex object, ObjectIndex sro, ObjectIndex segment, uint32_t pc);
 
-  // An explicitly destroyed object leaves the tracked set (its slot may be reused).
+  // A destroyed object leaves the tracked set (its slot may be reused).
   void OnObjectDestroyed(ObjectIndex object);
 
   // Scans for ADs into the population demoted from `sro`, excluding population members
@@ -70,7 +65,6 @@ class LifetimeAuditor {
 
  private:
   struct Entry {
-    uint32_t generation = 0;
     ObjectIndex sro = kInvalidObjectIndex;
     ObjectIndex segment = kInvalidObjectIndex;
     uint32_t pc = 0;

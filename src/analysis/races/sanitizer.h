@@ -1,9 +1,9 @@
 // Dynamic data-race sanitizer: vector clocks over concrete executions.
 //
 // The static pass (races.h) proves ordering from summaries; this is its ground-truth
-// cross-check (SystemConfig::race_sanitize). The kernel calls in as a pure observer from
-// the interpreter — every data / access-part read and write, every port transfer, and
-// every process retirement — and the sanitizer maintains:
+// cross-check (SystemConfig::race_sanitize). The observer bus (src/obs/observer_bus.h)
+// feeds it every data / access-part read and write, port transfer, process creation and
+// retirement, and object destruction, and the sanitizer maintains:
 //
 //   - one vector clock per live process (its view of every other process's progress),
 //   - one clock per in-flight message, stamped at enqueue with the sender's clock and
@@ -14,13 +14,11 @@
 //
 // An access races when its process's clock has not caught up with the epoch of a prior
 // conflicting access by another process — i.e. no chain of port transfers orders the two.
-// Nothing here consumes virtual time: with the sanitizer off the kernel takes one null
-// check per hook, and with it on the simulated timeline is bit-identical.
 //
 // Process and object indices are reused after retirement/destruction; the sanitizer keys
 // internal slots by incarnation (a retiring process folds its final clock into the next
 // holder of its index, which is genuinely ordered after it; a destroyed object's epochs
-// are dropped).
+// are dropped, whichever path destroyed it).
 
 #ifndef IMAX432_SRC_ANALYSIS_RACES_SANITIZER_H_
 #define IMAX432_SRC_ANALYSIS_RACES_SANITIZER_H_

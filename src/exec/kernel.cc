@@ -136,7 +136,7 @@ Status Kernel::AddProcessors(int count, const AccessDescriptor& dispatch_port) {
 
     processors_.push_back(ProcessorRec{id, object, port, AccessDescriptor(), machine_->now(),
                                        false, false, 0, XlatCache{}});
-    machine_->profiler().OnProcessorAdded(id, machine_->now());
+    machine_->observers().Emit({.kind = TraceEventKind::kProcessorOnline, .cpu = id});
     // The processor comes online and immediately looks for work.
     ScheduleFetch(machine_->now(), id);
   }
@@ -244,14 +244,9 @@ Result<AccessDescriptor> Kernel::CreateProcess(ProgramRef program,
   proc.set_call_depth(1);
 
   ++stats_.processes_created;
-  if (race_sanitizer_ != nullptr) {
-    race_sanitizer_->OnProcessCreated(process.index());
-  }
-  if (machine_->spans().enabled()) {
-    machine_->spans().OnSpawn(
-        options.parent.is_null() ? kTraceNoProcess : options.parent.index(),
-        process.index());
-  }
+  machine_->observers().Emit({.kind = TraceEventKind::kSpawn, .process = process.index(),
+                              .a = options.parent.is_null() ? kTraceNoProcess
+                                                            : options.parent.index()});
   return process;
 }
 
@@ -395,7 +390,6 @@ Status Kernel::RetireProcessor(uint16_t processor_id) {
   }
   rec.halted = true;
   ++stats_.processors_retired;
-  machine_->profiler().OnRetired(processor_id, machine_->now());
 
   ObjectView processor(&machine_->addressing(), rec.object);
   if (rec.waiting) {
@@ -428,8 +422,9 @@ Status Kernel::RetireProcessor(uint16_t processor_id) {
       }
     }
   }
-  machine_->trace().Emit(TraceEventKind::kProcessorRetired, machine_->now(), processor_id,
-                         requeued, static_cast<uint32_t>(active_processor_count()));
+  machine_->observers().Emit({.kind = TraceEventKind::kProcessorRetired, .cpu = processor_id,
+                              .process = requeued,
+                              .a = static_cast<uint32_t>(active_processor_count())});
   IMAX_LOG_INFO("processor %u retired (%d survive)", processor_id, active_processor_count());
   return Status::Ok();
 }
@@ -464,22 +459,7 @@ Status Kernel::MakeReady(const AccessDescriptor& process) {
   ProcessView proc = process_view(process);
   // If the process was blocked at a port, the blocking episode ends here — whether it goes
   // ready or (stop pending) parks as stopped.
-  auto wait = block_waits_.find(process.index());
-  if (wait != block_waits_.end()) {
-    Cycles waited = machine_->now() - wait->second.start;
-    machine_->latency().port_wait.Record(waited);
-    machine_->profiler().ChargeProcess(process.index(), CycleBucket::kPortWait, waited);
-    if (wait->second.is_send && machine_->spans().enabled()) {
-      // Only a blocked *sender's* wait sits on its request's critical path; a receiver's
-      // pre-arrival wait belongs to no request.
-      machine_->spans().ChargeCurrent(process.index(), CycleBucket::kPortWait, waited,
-                                      machine_->now());
-    }
-    machine_->trace().Emit(TraceEventKind::kUnblock, machine_->now(), kTraceNoProcessor,
-                           process.index(), wait->second.port,
-                           static_cast<uint32_t>(waited));
-    block_waits_.erase(wait);
-  }
+  machine_->observers().Emit({.kind = TraceEventKind::kUnblock, .process = process.index()});
   if (proc.stop_count() > 0) {
     // Held out of the dispatching mix.
     proc.set_state(ProcessState::kStopped);
@@ -524,18 +504,13 @@ Status Kernel::PostMessage(const AccessDescriptor& port, const AccessDescriptor&
       return stored;
     }
     recv.Increment(ProcessLayout::kOffMessagesReceived, 4);
-    if (machine_->spans().enabled()) {
-      machine_->spans().OnExternalHandoff(receiver.value().process.index(),
-                                          machine_->now());
-    }
+    machine_->observers().Emit({.kind = TraceEventKind::kHandoff, .process = kObsExternal,
+                                .a = port.index(), .b = receiver.value().process.index(),
+                                .c = message.index()});
     return MakeReady(receiver.value().process);
   }
-  Status queued =
-      ports_.Enqueue(port, message, /*sender_priority=*/128, /*sender_deadline=*/0);
-  if (queued.ok()) {
-    machine_->spans().OnExternalSend(ports_.last_enqueue_seq());
-  }
-  return queued;
+  return ports_.Enqueue(port, message, /*sender_priority=*/128, /*sender_deadline=*/0,
+                        /*privileged=*/false, kObsExternal);
 }
 
 void Kernel::BindProcess(ProcessorRec& rec, const AccessDescriptor& process) {
@@ -547,12 +522,12 @@ void Kernel::BindProcess(ProcessorRec& rec, const AccessDescriptor& process) {
                          /*privileged=*/true);
     return;
   }
-  machine_->profiler().CloseIdle(rec.id, machine_->now());
   if (proc.stop_count() > 0) {
     // A stop arrived while the process was queued: park it and look again.
     proc.set_state(ProcessState::kStopped);
     NotifyEvent(process, ProcessEvent::kStopped);
-    machine_->profiler().ChargeCpu(rec.id, CycleBucket::kDispatch, cycles::kDispatch);
+    machine_->observers().Emit({.kind = TraceEventKind::kCharge, .cpu = rec.id,
+                                .bucket = CycleBucket::kDispatch, .cycles = cycles::kDispatch});
     ScheduleFetch(machine_->now() + cycles::kDispatch, rec.id);
     return;
   }
@@ -574,21 +549,9 @@ void Kernel::BindProcess(ProcessorRec& rec, const AccessDescriptor& process) {
   BusGrant grant;
   Cycles done = machine_->bus().Acquire(machine_->now() + cycles::kDispatch,
                                         cycles::kBusDispatch, &grant);
-  if (machine_->profiler().enabled()) {
-    CycleProfiler& profiler = machine_->profiler();
-    profiler.Charge(rec.id, process.index(), CycleBucket::kDispatch, cycles::kDispatch);
-    profiler.Charge(rec.id, process.index(), CycleBucket::kBusWait, grant.wait);
-    profiler.Charge(rec.id, process.index(), CycleBucket::kBusTransfer, grant.busy);
-  }
-  if (machine_->spans().enabled()) {
-    SpanTracer& spans = machine_->spans();
-    spans.ChargeCurrent(process.index(), CycleBucket::kDispatch, cycles::kDispatch, done);
-    spans.ChargeCurrent(process.index(), CycleBucket::kBusWait, grant.wait, done);
-    spans.ChargeCurrent(process.index(), CycleBucket::kBusTransfer, grant.busy, done);
-  }
-  machine_->latency().dispatch_latency.Record(done - machine_->now());
-  machine_->trace().Emit(TraceEventKind::kDispatch, machine_->now(), rec.id, process.index(),
-                         static_cast<uint32_t>(done - machine_->now()));
+  machine_->observers().Emit({.kind = TraceEventKind::kDispatch, .cpu = rec.id,
+                              .process = process.index(), .cycles = cycles::kDispatch,
+                              .grant = grant});
   ScheduleStep(done, rec.id);
 }
 
@@ -599,8 +562,9 @@ void Kernel::ProcessorFetch(uint16_t processor_id) {
   }
   if (machine_->now() < rec.stall_until) {
     // Transient stall: come back for work once the processor re-arbitrates.
-    machine_->profiler().ChargeCpu(processor_id, CycleBucket::kFaultRecovery,
-                                   rec.stall_until - machine_->now());
+    machine_->observers().Emit({.kind = TraceEventKind::kCharge, .cpu = processor_id,
+                                .bucket = CycleBucket::kFaultRecovery,
+                                .cycles = rec.stall_until - machine_->now()});
     ScheduleFetch(rec.stall_until, processor_id);
     return;
   }
@@ -625,37 +589,22 @@ void Kernel::ProcessorFetch(uint16_t processor_id) {
                      static_cast<uint64_t>(ProcessorState::kIdle));
   rec.idle_since = machine_->now();
   rec.waiting = true;
-  machine_->trace().Emit(TraceEventKind::kIdle, machine_->now(), processor_id, kTraceNoProcess,
-                         rec.dispatch_port.index());
-  machine_->profiler().OpenIdle(processor_id);
+  machine_->observers().Emit(
+      {.kind = TraceEventKind::kIdle, .cpu = processor_id, .a = rec.dispatch_port.index()});
   ports_.PushWaitingProcessor(rec.dispatch_port, processor_id);
 }
 
 Kernel::Charge Kernel::ChargeCycles(ProcessorRec& rec, ProcessView& proc, Cycles compute,
-                                    Cycles bus, CycleBucket bucket) {
+                                    Cycles bus, CycleBucket bucket, ObjectIndex site_segment,
+                                    uint32_t site_pc) {
   Cycles start = machine_->now();
-  Cycles after_compute = start + compute;
-  CycleProfiler& profiler = machine_->profiler();
-  SpanTracer& spans = machine_->spans();
-  Cycles done;
-  if (profiler.enabled() || spans.enabled()) {
-    BusGrant grant;
-    done = machine_->bus().Acquire(after_compute, bus, &grant);
-    uint32_t process = proc.ad().index();
-    CycleBucket resolved = profiler.ResolveTag(process, bucket);
-    if (profiler.enabled()) {
-      profiler.Charge(rec.id, process, resolved, compute);
-      profiler.Charge(rec.id, process, CycleBucket::kBusWait, grant.wait);
-      profiler.Charge(rec.id, process, CycleBucket::kBusTransfer, grant.busy);
-    }
-    if (spans.enabled()) {
-      spans.ChargeCurrent(process, resolved, compute, done);
-      spans.ChargeCurrent(process, CycleBucket::kBusWait, grant.wait, done);
-      spans.ChargeCurrent(process, CycleBucket::kBusTransfer, grant.busy, done);
-    }
-  } else {
-    done = machine_->bus().Acquire(after_compute, bus);
-  }
+  BusGrant grant;
+  Cycles done = machine_->bus().Acquire(start + compute, bus, &grant);
+  machine_->observers().Emit(TraceEventKind::kCharge, [&] {
+    return ObsEvent{.kind = TraceEventKind::kCharge, .cpu = rec.id, .process = proc.ad().index(),
+                    .a = site_segment, .b = site_pc, .bucket = bucket, .cycles = compute,
+                    .grant = grant};
+  });
   Cycles duration = done - start;
   proc.Increment(ProcessLayout::kOffConsumed, 8, duration);
   uint64_t slice_used = proc.Increment(ProcessLayout::kOffSliceUsed, 8, duration);
@@ -690,8 +639,9 @@ void Kernel::ProcessorStep(uint16_t processor_id) {
   }
   if (machine_->now() < rec.stall_until) {
     // Transient stall: the bound process resumes exactly here once the stall lifts.
-    machine_->profiler().ChargeCpu(processor_id, CycleBucket::kFaultRecovery,
-                                   rec.stall_until - machine_->now());
+    machine_->observers().Emit({.kind = TraceEventKind::kCharge, .cpu = processor_id,
+                                .bucket = CycleBucket::kFaultRecovery,
+                                .cycles = rec.stall_until - machine_->now()});
     ScheduleStep(rec.stall_until, processor_id);
     return;
   }
@@ -705,24 +655,29 @@ void Kernel::ProcessorStep(uint16_t processor_id) {
   if (proc.stop_count() > 0) {
     proc.set_state(ProcessState::kStopped);
     NotifyEvent(rec.current, ProcessEvent::kStopped);
-    machine_->profiler().ChargeCpu(processor_id, CycleBucket::kDispatch, cycles::kSimpleOp);
+    machine_->observers().Emit({.kind = TraceEventKind::kCharge, .cpu = processor_id,
+                                .bucket = CycleBucket::kDispatch, .cycles = cycles::kSimpleOp});
     ScheduleFetch(machine_->now() + cycles::kSimpleOp, processor_id);
     return;
   }
 
   ContextView ctx(&machine_->addressing(), proc.context());
-  auto fetched = programs_.FetchCached(&rec.xlat, ctx.instruction_segment());
+  // Read before Execute: an explicit Return destroys the context object.
+  const AccessDescriptor segment = ctx.instruction_segment();
+  auto fetched = programs_.FetchCached(&rec.xlat, segment);
   if (!fetched.ok()) {
     RaiseFault(proc, fetched.fault());
-    machine_->profiler().ChargeCpu(processor_id, CycleBucket::kFaultRecovery, cycles::kDispatch);
+    machine_->observers().Emit({.kind = TraceEventKind::kCharge, .cpu = processor_id,
+                                .bucket = CycleBucket::kFaultRecovery,
+                                .cycles = cycles::kDispatch});
     ScheduleFetch(machine_->now() + cycles::kDispatch, processor_id);
     return;
   }
   const Program& program = *fetched.value();
 
   uint32_t pc = ctx.pc();
-  bool sampled_site = false;
-  uint64_t site_segment = 0;
+  // The instruction the charge below pays for, if any (the profiler samples its site).
+  ObjectIndex site_segment = kInvalidObjectIndex;
   Result<StepEffect> stepped = StepEffect{};
   if (pc >= program.size()) {
     // Falling off the end of a subprogram is an implicit return. Its faults (a returned AD
@@ -730,26 +685,17 @@ void Kernel::ProcessorStep(uint16_t processor_id) {
     // Return's.
     stepped = DoReturn(rec.id, proc, ctx);
   } else {
-    if (machine_->profiler().enabled()) {
-      // Capture the hot-site key before Execute: an explicit Return destroys the context
-      // object, so reading the instruction segment afterwards would touch freed state.
-      sampled_site = true;
-      site_segment = ctx.instruction_segment().index();
-    }
+    site_segment = segment.index();
     // By value: a service call inside Execute can reach ProgramStore::Forget/Replace, which
     // frees the store's copy of this instruction.
     const Instruction instruction = program.at(pc);
-    // The interpreter's instruction dump: with tracing on, each step lands in the event
-    // timeline (and the kTrace log line reaches the recorder's annotation channel through
-    // the sink installed by System) instead of spamming stderr.
-    if (machine_->trace().enabled() && GetLogSeverity() == LogSeverity::kTrace) {
-      machine_->trace().Emit(TraceEventKind::kInstruction, machine_->now(), processor_id,
-                             rec.current.index(), pc, static_cast<uint32_t>(instruction.op));
-      IMAX_LOG_TRACE("cpu %u process %u pc %u %s", processor_id, rec.current.index(), pc,
-                     OpcodeName(instruction.op));
-    }
+    machine_->observers().Emit(TraceEventKind::kInstruction, [&] {
+      return ObsEvent{.kind = TraceEventKind::kInstruction, .cpu = processor_id,
+                      .process = rec.current.index(), .a = pc,
+                      .b = static_cast<uint32_t>(instruction.op)};
+    });
     ctx.set_pc(pc + 1);
-    stepped = Execute(rec, proc, ctx, program, instruction);
+    stepped = Execute(rec, proc, ctx, program, instruction, pc);
   }
   if (!stepped.ok()) {
     Fault fault = stepped.fault();
@@ -769,19 +715,17 @@ void Kernel::ProcessorStep(uint16_t processor_id) {
     }
     ctx.set_pc(pc);  // the process faulted *at* this instruction
     RaiseFault(proc, fault);
-    machine_->profiler().ChargeCpu(processor_id, CycleBucket::kFaultRecovery, cycles::kDispatch);
+    machine_->observers().Emit({.kind = TraceEventKind::kCharge, .cpu = processor_id,
+                                .bucket = CycleBucket::kFaultRecovery,
+                                .cycles = cycles::kDispatch});
     ScheduleFetch(machine_->now() + cycles::kDispatch, processor_id);
     return;
   }
   const StepEffect effect = stepped.value();
 
-  const Charge charge = ChargeCycles(rec, proc, effect.compute, effect.bus);
+  const Charge charge = ChargeCycles(rec, proc, effect.compute, effect.bus,
+                                     CycleBucket::kInterpreter, site_segment, pc);
   const Cycles done = charge.done;
-  if (sampled_site) {
-    // now() is constant for the duration of this event, so done - now() is the full
-    // modeled duration the instruction just charged.
-    machine_->profiler().SampleSite(site_segment, pc, done - machine_->now());
-  }
   ++stats_.instructions_executed;
 
   switch (effect.kind) {
@@ -791,7 +735,8 @@ void Kernel::ProcessorStep(uint16_t processor_id) {
         // instruction's completion time so the process cannot overlap itself on another
         // processor.
         ++stats_.time_slice_ends;
-        machine_->trace().Emit(TraceEventKind::kPreempt, done, rec.id, rec.current.index());
+        machine_->observers().Emit({.kind = TraceEventKind::kPreempt, .ts = done,
+                                    .cpu = rec.id, .process = rec.current.index()});
         proc.set_slice_used(0);
         machine_->events().ScheduleAt(done,
                                       [this, process = rec.current] { Requeue(process); });
@@ -821,24 +766,20 @@ void Kernel::ProcessorStep(uint16_t processor_id) {
   }
 }
 
-void Kernel::NoteAccess(uint16_t cpu, ProcessView& proc, ContextView& ctx, ObjectIndex object,
-                        analysis::ObjectPart part, analysis::AccessKind kind) {
-  if (race_sanitizer_ == nullptr) return;
-  // ProcessorStep advanced the pc before Execute, so the current instruction is pc - 1.
-  const uint32_t pc = ctx.pc() - 1;
-  const analysis::RaceRecord* record = race_sanitizer_->OnAccess(
-      proc.ad().index(), object, part, kind, pc, machine_->now());
-  if (record != nullptr) {
-    machine_->trace().Emit(TraceEventKind::kRaceDetected, machine_->now(), cpu,
-                           record->second_process, record->object, record->second_pc,
-                           record->first_process);
-  }
-}
-
 Result<Kernel::StepEffect> Kernel::Execute(ProcessorRec& rec, ProcessView& proc,
                                            ContextView& ctx, const Program& program,
-                                           const Instruction& in) {
+                                           const Instruction& in, uint32_t pc) {
   AddressingUnit& au = machine_->addressing();
+  ObserverBus& observers = machine_->observers();
+  // One object access the addressing unit accepted, for the race sanitizer.
+  auto emit_access = [&](const AccessDescriptor& object, analysis::ObjectPart part,
+                         analysis::AccessKind kind) {
+    observers.Emit(TraceEventKind::kAccess, [&] {
+      return ObsEvent{.kind = TraceEventKind::kAccess, .cpu = rec.id,
+                      .process = proc.ad().index(), .a = object.index(), .b = pc,
+                      .c = static_cast<uint32_t>(part), .d = static_cast<uint32_t>(kind)};
+    });
+  };
   StepEffect effect;
 
   switch (in.op) {
@@ -889,9 +830,9 @@ Result<Kernel::StepEffect> Kernel::Execute(ProcessorRec& rec, ProcessView& proc,
         if (!ValidReg(in.c)) return Fault::kRegisterOutOfRange;
         offset += static_cast<uint32_t>(ctx.reg(in.c));
       }
-      IMAX_ASSIGN_OR_RETURN(uint64_t value, au.ReadData(ctx.ad_reg(in.b), offset, width));
-      NoteAccess(rec.id, proc, ctx, ctx.ad_reg(in.b).index(), analysis::ObjectPart::kData,
-                 analysis::AccessKind::kRead);
+      const AccessDescriptor object = ctx.ad_reg(in.b);
+      IMAX_ASSIGN_OR_RETURN(uint64_t value, au.ReadData(object, offset, width));
+      emit_access(object, analysis::ObjectPart::kData, analysis::AccessKind::kRead);
       ctx.set_reg(in.a, value);
       effect.compute = cycles::kDataAccessBase;
       effect.bus = cycles::kBusDataAccess;
@@ -907,9 +848,9 @@ Result<Kernel::StepEffect> Kernel::Execute(ProcessorRec& rec, ProcessView& proc,
         if (!ValidReg(in.c)) return Fault::kRegisterOutOfRange;
         offset += static_cast<uint32_t>(ctx.reg(in.c));
       }
-      IMAX_RETURN_IF_FAULT(au.WriteData(ctx.ad_reg(in.a), offset, width, ctx.reg(in.b)));
-      NoteAccess(rec.id, proc, ctx, ctx.ad_reg(in.a).index(), analysis::ObjectPart::kData,
-                 analysis::AccessKind::kWrite);
+      const AccessDescriptor object = ctx.ad_reg(in.a);
+      IMAX_RETURN_IF_FAULT(au.WriteData(object, offset, width, ctx.reg(in.b)));
+      emit_access(object, analysis::ObjectPart::kData, analysis::AccessKind::kWrite);
       effect.compute = cycles::kDataAccessBase;
       effect.bus = cycles::kBusDataAccess;
       return effect;
@@ -936,9 +877,9 @@ Result<Kernel::StepEffect> Kernel::Execute(ProcessorRec& rec, ProcessView& proc,
         if (!ValidReg(in.c)) return Fault::kRegisterOutOfRange;
         slot += static_cast<uint32_t>(ctx.reg(in.c));
       }
-      IMAX_ASSIGN_OR_RETURN(AccessDescriptor value, au.ReadAd(ctx.ad_reg(in.b), slot));
-      NoteAccess(rec.id, proc, ctx, ctx.ad_reg(in.b).index(), analysis::ObjectPart::kAccess,
-                 analysis::AccessKind::kRead);
+      const AccessDescriptor object = ctx.ad_reg(in.b);
+      IMAX_ASSIGN_OR_RETURN(AccessDescriptor value, au.ReadAd(object, slot));
+      emit_access(object, analysis::ObjectPart::kAccess, analysis::AccessKind::kRead);
       ctx.set_ad_reg(in.a, value);
       effect.compute = cycles::kAdMove;
       effect.bus = cycles::kBusAdMove;
@@ -954,9 +895,9 @@ Result<Kernel::StepEffect> Kernel::Execute(ProcessorRec& rec, ProcessView& proc,
         slot += static_cast<uint32_t>(ctx.reg(in.c));
       }
       // The checked mutator store: rights, bounds, level rule, gray-bit.
-      IMAX_RETURN_IF_FAULT(au.WriteAd(ctx.ad_reg(in.a), slot, ctx.ad_reg(in.b)));
-      NoteAccess(rec.id, proc, ctx, ctx.ad_reg(in.a).index(), analysis::ObjectPart::kAccess,
-                 analysis::AccessKind::kWrite);
+      const AccessDescriptor object = ctx.ad_reg(in.a);
+      IMAX_RETURN_IF_FAULT(au.WriteAd(object, slot, ctx.ad_reg(in.b)));
+      emit_access(object, analysis::ObjectPart::kAccess, analysis::AccessKind::kWrite);
       effect.compute = cycles::kAdMove;
       effect.bus = cycles::kBusAdMove;
       return effect;
@@ -978,10 +919,8 @@ Result<Kernel::StepEffect> Kernel::Execute(ProcessorRec& rec, ProcessView& proc,
       if (!ValidAdReg(in.a) || !ValidAdReg(in.b)) return Fault::kRegisterOutOfRange;
       bool demoted = false;
       if (lifetime_demote_ && !ctx.ad_reg(in.b).is_null()) {
-        // The dispatcher advanced pc past this instruction before Execute.
-        const uint32_t site_pc = ctx.pc() - 1;
         const ObjectIndex segment = ctx.instruction_segment().index();
-        if (IsDemotableSite(segment, site_pc)) {
+        if (IsDemotableSite(segment, pc)) {
           Level context_level = machine_->table().At(ctx.ad().index()).level;
           AccessDescriptor demote_sro = DemoteSroFor(ctx, context_level);
           auto local = demote_sro.is_null()
@@ -997,10 +936,8 @@ Result<Kernel::StepEffect> Kernel::Execute(ProcessorRec& rec, ProcessView& proc,
             ObjectDescriptor& descriptor = machine_->table().At(object.index());
             descriptor.gc_exempt = true;
             descriptor.color = GcColor::kBlack;  // exempt implies black, from birth
-            if (lifetime_auditor_ != nullptr) {
-              lifetime_auditor_->OnDemoted(object.index(), object.generation(),
-                                           demote_sro.index(), segment, site_pc);
-            }
+            observers.Emit({.kind = TraceEventKind::kDemote, .a = object.index(),
+                            .b = demote_sro.index(), .c = segment, .d = pc});
             ctx.set_ad_reg(in.a, object);
             ++stats_.demotions;
             demoted = true;
@@ -1024,16 +961,14 @@ Result<Kernel::StepEffect> Kernel::Execute(ProcessorRec& rec, ProcessView& proc,
 
     case Opcode::kDestroyObject: {
       if (!ValidAdReg(in.a)) return Fault::kRegisterOutOfRange;
-      const ObjectIndex dying = ctx.ad_reg(in.a).index();
-      IMAX_RETURN_IF_FAULT(memory_->DestroyObject(ctx.ad_reg(in.a)));
-      // Destruction conflicts with any concurrent access to either part; check against the
-      // prior epochs before dropping the object's sanitizer state.
-      NoteAccess(rec.id, proc, ctx, dying, analysis::ObjectPart::kData,
-                 analysis::AccessKind::kWrite);
-      NoteAccess(rec.id, proc, ctx, dying, analysis::ObjectPart::kAccess,
-                 analysis::AccessKind::kWrite);
-      if (race_sanitizer_ != nullptr) race_sanitizer_->OnObjectDestroyed(dying);
-      if (lifetime_auditor_ != nullptr) lifetime_auditor_->OnObjectDestroyed(dying);
+      const AccessDescriptor dying = ctx.ad_reg(in.a);
+      // Destruction writes both parts: a destroy the memory manager will accept is checked
+      // against their prior epochs before its destroy event drops them.
+      if (au.ResolveChecked(dying, rights::kDelete).ok()) {
+        emit_access(dying, analysis::ObjectPart::kData, analysis::AccessKind::kWrite);
+        emit_access(dying, analysis::ObjectPart::kAccess, analysis::AccessKind::kWrite);
+      }
+      IMAX_RETURN_IF_FAULT(memory_->DestroyObject(dying));
       ctx.set_ad_reg(in.a, AccessDescriptor());
       effect.compute = cycles::kDestroyObject;
       effect.bus = cycles::kBusCreateObject / 2;
@@ -1069,12 +1004,12 @@ Result<Kernel::StepEffect> Kernel::Execute(ProcessorRec& rec, ProcessView& proc,
     case Opcode::kDestroySro: {
       if (!ValidAdReg(in.a)) return Fault::kRegisterOutOfRange;
       AccessDescriptor sro = ctx.ad_reg(in.a);
+      // As for destroy_object: the SRO object itself is written, then dies.
+      if (au.ResolveTyped(sro, SystemType::kStorageResource, rights::kSroDestroy).ok()) {
+        emit_access(sro, analysis::ObjectPart::kData, analysis::AccessKind::kWrite);
+        emit_access(sro, analysis::ObjectPart::kAccess, analysis::AccessKind::kWrite);
+      }
       IMAX_ASSIGN_OR_RETURN(uint32_t reclaimed, memory_->DestroySro(sro));
-      NoteAccess(rec.id, proc, ctx, sro.index(), analysis::ObjectPart::kData,
-                 analysis::AccessKind::kWrite);
-      NoteAccess(rec.id, proc, ctx, sro.index(), analysis::ObjectPart::kAccess,
-                 analysis::AccessKind::kWrite);
-      if (race_sanitizer_ != nullptr) race_sanitizer_->OnObjectDestroyed(sro.index());
       // Clear the ownership slot if this was one of ours.
       for (uint32_t slot = 0; slot < ContextLayout::kNumOwnedSroSlots; ++slot) {
         if (ctx.Slot(ContextLayout::kSlotOwnedSros + slot).SameObject(sro)) {
@@ -1250,33 +1185,17 @@ Result<Kernel::StepEffect> Kernel::DoSend(uint16_t cpu, ProcessView& proc,
     }
     recv.Increment(ProcessLayout::kOffMessagesReceived, 4);
     proc.Increment(ProcessLayout::kOffMessagesSent, 4);
-    if (race_sanitizer_ != nullptr) {
-      race_sanitizer_->OnHandoff(proc.ad().index(), receiver.value().process.index());
-    }
-    if (machine_->spans().enabled()) {
-      machine_->spans().OnHandoff(proc.ad().index(), receiver.value().process.index(),
-                                  machine_->now());
-    }
-    // The message never touches the queue on this path, so Enqueue/Dequeue cannot trace it;
-    // emit the transfer pair here (depth 0: a handoff implies an empty queue).
-    if (machine_->trace().enabled()) {
-      machine_->trace().Emit(TraceEventKind::kSend, machine_->now(), cpu, proc.ad().index(),
-                             port_ad.index(), 0, message.index());
-      machine_->trace().Emit(TraceEventKind::kReceive, machine_->now(), kTraceNoProcessor,
-                             receiver.value().process.index(), port_ad.index(), 0,
-                             message.index());
-    }
+    machine_->observers().Emit({.kind = TraceEventKind::kHandoff, .cpu = cpu,
+                                .process = proc.ad().index(), .a = port_ad.index(),
+                                .b = receiver.value().process.index(), .c = message.index()});
     IMAX_RETURN_IF_FAULT(MakeReady(receiver.value().process));
     return effect;
   }
 
-  Status queued = ports_.Enqueue(port_ad, message, proc.priority(), proc.deadline());
+  Status queued = ports_.Enqueue(port_ad, message, proc.priority(), proc.deadline(),
+                                 /*privileged=*/false, proc.ad().index());
   if (queued.ok()) {
     proc.Increment(ProcessLayout::kOffMessagesSent, 4);
-    if (race_sanitizer_ != nullptr) {
-      race_sanitizer_->OnSend(proc.ad().index(), ports_.last_enqueue_seq());
-    }
-    machine_->spans().OnSend(proc.ad().index(), ports_.last_enqueue_seq(), machine_->now());
     return effect;
   }
   if (queued.fault() != Fault::kQueueFull) {
@@ -1290,14 +1209,10 @@ Result<Kernel::StepEffect> Kernel::DoSend(uint16_t cpu, ProcessView& proc,
   IMAX_RETURN_IF_FAULT(ports_.PushBlockedSender(port_ad, BlockedSender{proc.ad(), message}));
   proc.set_state(ProcessState::kBlocked);
   proc.bump_block_epoch();
-  block_waits_[proc.ad().index()] =
-      BlockWait{machine_->now(), port_ad.index(), /*is_send=*/true};
-  if (machine_->trace().enabled()) {
-    auto depth = ports_.QueuedCount(port_ad);
-    machine_->trace().Emit(TraceEventKind::kBlockSend, machine_->now(), cpu,
-                           proc.ad().index(), port_ad.index(),
-                           depth.ok() ? depth.value() : 0);
-  }
+  auto depth = ports_.QueuedCount(port_ad);
+  machine_->observers().Emit({.kind = TraceEventKind::kBlockSend, .cpu = cpu,
+                              .process = proc.ad().index(), .a = port_ad.index(),
+                              .b = depth.ok() ? depth.value() : 0u});
   effect.kind = StepEffect::Kind::kBlocked;
   effect.compute += cycles::kBlockOnPort;
   return effect;
@@ -1315,28 +1230,19 @@ Result<Kernel::StepEffect> Kernel::DoReceive(uint16_t cpu, ProcessView& proc, Co
   effect.compute = cycles::kReceive;
   effect.bus = cycles::kBusReceive;
 
-  auto message = ports_.Dequeue(port_ad);
+  auto message = ports_.Dequeue(port_ad, proc.ad().index());
   if (message.ok()) {
     ctx.set_ad_reg(dest_adreg, message.value());
     proc.Increment(ProcessLayout::kOffMessagesReceived, 4);
-    if (race_sanitizer_ != nullptr) {
-      race_sanitizer_->OnReceive(proc.ad().index(), ports_.last_dequeue_seq());
-    }
-    machine_->spans().OnReceive(proc.ad().index(), ports_.last_dequeue_seq(),
-                                machine_->now());
     // A slot freed up: admit one blocked sender.
     auto sender = ports_.PopBlockedSender(port_ad);
     if (sender.ok()) {
       ProcessView sending = process_view(sender.value().process);
       Status queued = ports_.Enqueue(port_ad, sender.value().message, sending.priority(),
-                                     sending.deadline());
+                                     sending.deadline(), /*privileged=*/false,
+                                     sending.ad().index());
       if (queued.ok()) {
         sending.Increment(ProcessLayout::kOffMessagesSent, 4);
-        if (race_sanitizer_ != nullptr) {
-          race_sanitizer_->OnSend(sending.ad().index(), ports_.last_enqueue_seq());
-        }
-        machine_->spans().OnSend(sending.ad().index(), ports_.last_enqueue_seq(),
-                                 machine_->now());
         IMAX_RETURN_IF_FAULT(MakeReady(sender.value().process));
       } else {
         // The deferred send hit a protection fault: it is the sender's fault to take.
@@ -1356,15 +1262,10 @@ Result<Kernel::StepEffect> Kernel::DoReceive(uint16_t cpu, ProcessView& proc, Co
       ports_.PushBlockedReceiver(port_ad, BlockedReceiver{proc.ad(), dest_adreg}));
   proc.set_state(ProcessState::kBlocked);
   proc.bump_block_epoch();
-  block_waits_[proc.ad().index()] =
-      BlockWait{machine_->now(), port_ad.index(), /*is_send=*/false};
-  machine_->spans().OnBlockReceive(proc.ad().index(), machine_->now());
-  if (machine_->trace().enabled()) {
-    auto depth = ports_.QueuedCount(port_ad);
-    machine_->trace().Emit(TraceEventKind::kBlockReceive, machine_->now(), cpu,
-                           proc.ad().index(), port_ad.index(),
-                           depth.ok() ? depth.value() : 0);
-  }
+  auto depth = ports_.QueuedCount(port_ad);
+  machine_->observers().Emit({.kind = TraceEventKind::kBlockReceive, .cpu = cpu,
+                              .process = proc.ad().index(), .a = port_ad.index(),
+                              .b = depth.ok() ? depth.value() : 0u});
   effect.kind = StepEffect::Kind::kBlocked;
   effect.compute += cycles::kBlockOnPort;
   return effect;
@@ -1403,21 +1304,18 @@ Result<Kernel::StepEffect> Kernel::DoCall(uint16_t cpu, ProcessView& proc, Conte
     ++stats_.local_calls;
     effect.compute = cycles::kLocalCall;
     effect.bus = cycles::kBusDomainCall / 2;
-    machine_->trace().Emit(TraceEventKind::kLocalCall, machine_->now(), cpu,
-                           proc.ad().index(), callee.index());
   } else {
     ++stats_.domain_calls;
     effect.compute = cycles::kDomainCall;
     effect.bus = cycles::kBusDomainCall;
-    // The modeled switch cost rides in the payload so the exporter can draw the calibrated
-    // ~65 microsecond slice; the residence time is closed out at the matching return.
-    call_starts_[callee.index()] = machine_->now();
-    machine_->spans().OnDomainCall(proc.ad().index(), machine_->now());
-    machine_->trace().Emit(TraceEventKind::kDomainCall, machine_->now(), cpu,
-                           proc.ad().index(), callee.index(),
-                           static_cast<uint32_t>(cycles::kDomainCall),
-                           domain_ad.index());
   }
+  // A domain call's modeled switch cost rides in the payload so the exporter can draw the
+  // calibrated ~65 microsecond slice; the bus closes its residence at the matching return.
+  machine_->observers().Emit(
+      {.kind = local ? TraceEventKind::kLocalCall : TraceEventKind::kDomainCall, .cpu = cpu,
+       .process = proc.ad().index(), .a = callee.index(),
+       .b = local ? 0u : static_cast<uint32_t>(cycles::kDomainCall),
+       .c = local ? 0u : domain_ad.index()});
   return effect;
 }
 
@@ -1462,20 +1360,9 @@ Result<Kernel::StepEffect> Kernel::DoReturn(uint16_t cpu, ProcessView& proc, Con
   bool local = ctx.domain().SameObject(caller_ctx.domain()) ||
                (ctx.domain().is_null() && caller_ctx.domain().is_null());
   AccessDescriptor dying = ctx.ad();
-  // Close the domain-call residence opened at DoCall (absent for local calls).
-  auto call_start = call_starts_.find(dying.index());
-  if (call_start != call_starts_.end()) {
-    Cycles residence = machine_->now() - call_start->second;
-    machine_->latency().domain_call.Record(residence);
-    machine_->spans().OnDomainReturn(proc.ad().index(), machine_->now());
-    machine_->trace().Emit(TraceEventKind::kDomainReturn, machine_->now(), cpu,
-                           proc.ad().index(), dying.index(),
-                           static_cast<uint32_t>(residence));
-    call_starts_.erase(call_start);
-  } else {
-    machine_->trace().Emit(TraceEventKind::kLocalReturn, machine_->now(), cpu,
-                           proc.ad().index(), dying.index());
-  }
+  machine_->observers().Emit(
+      {.kind = local ? TraceEventKind::kLocalReturn : TraceEventKind::kDomainReturn,
+       .cpu = cpu, .process = proc.ad().index(), .a = dying.index()});
   proc.SetSlot(ProcessLayout::kSlotContext, caller);
   proc.set_call_depth(static_cast<uint16_t>(proc.call_depth() - 1));
   // The context returns to the stack SRO's free list (stack discipline).
@@ -1496,13 +1383,9 @@ void Kernel::RaiseFault(ProcessView& proc, Fault fault) {
   // at level 1 are not permitted even these."
   bool permitted =
       level >= kImaxLevelServices || (level == kImaxLevelMemory && fault == Fault::kTimeout);
-  // A fault ends any blocking episode (e.g. a timed receive whose watchdog fired) without a
-  // completed wait to record.
-  block_waits_.erase(proc.ad().index());
-  machine_->spans().OnFault(proc.ad().index(), machine_->now());
-  machine_->trace().Emit(TraceEventKind::kFault, machine_->now(), kTraceNoProcessor,
-                         proc.ad().index(), static_cast<uint32_t>(fault),
-                         permitted && !proc.fault_port().is_null() ? 1 : 0);
+  machine_->observers().Emit({.kind = TraceEventKind::kFault, .process = proc.ad().index(),
+                              .a = static_cast<uint32_t>(fault),
+                              .b = permitted && !proc.fault_port().is_null() ? 1u : 0u});
   if (!permitted) {
     ++stats_.panics;
     IMAX_LOG_ERROR("iMAX design-rule violation: level-%u process faulted with %s", level,
@@ -1530,11 +1413,8 @@ void Kernel::RaiseFault(ProcessView& proc, Fault fault) {
 
 void Kernel::TerminateProcess(ProcessView& proc, bool faulted) {
   proc.set_state(ProcessState::kTerminated);
-  block_waits_.erase(proc.ad().index());
-  machine_->spans().OnTerminate(proc.ad().index(), machine_->now());
-  if (race_sanitizer_ != nullptr) race_sanitizer_->OnProcessRetired(proc.ad().index());
-  machine_->trace().Emit(TraceEventKind::kTerminate, machine_->now(), kTraceNoProcessor,
-                         proc.ad().index(), faulted ? 1 : 0);
+  machine_->observers().Emit(
+      {.kind = TraceEventKind::kTerminate, .process = proc.ad().index(), .a = faulted});
 
   // Dispose of the activation stack: destroy local heaps owned by live contexts, then the
   // stack SRO (which reclaims every context in one sweep — the local-heap efficiency story).
@@ -1545,7 +1425,6 @@ void Kernel::TerminateProcess(ProcessView& proc, bool faulted) {
       break;
     }
     ContextView ctx(&au, context);
-    call_starts_.erase(context.index());
     (void)ReclaimDemoteSro(kTraceNoProcessor, proc, ctx);
     for (uint32_t slot = 0; slot < ContextLayout::kNumOwnedSroSlots; ++slot) {
       AccessDescriptor owned = ctx.Slot(ContextLayout::kSlotOwnedSros + slot);
@@ -1622,21 +1501,10 @@ AccessDescriptor Kernel::DemoteSroFor(ContextView& ctx, Level context_level) {
 uint32_t Kernel::ReclaimDemoteSro(uint16_t cpu, ProcessView& proc, ContextView& ctx) {
   AccessDescriptor sro = ctx.Slot(ContextLayout::kSlotDemoteSro);
   if (sro.is_null()) return 0;
-  if (lifetime_auditor_ != nullptr) {
-    auto violations = lifetime_auditor_->AuditScopeExit(machine_->table(), sro.index(),
-                                                        ctx.ad().index());
-    for (const analysis::LifetimeViolation& violation : violations) {
-      ++stats_.lifetime_violations;
-      machine_->trace().Emit(TraceEventKind::kLifetimeViolation, machine_->now(), cpu,
-                             proc.ad().index(), violation.object, violation.holder,
-                             violation.alloc_pc);
-      IMAX_LOG_ERROR(
-          "lifetime audit: demoted object %u (segment %u pc %u) still referenced by "
-          "object %u slot %u at scope exit",
-          violation.object, violation.segment, violation.alloc_pc, violation.holder,
-          violation.holder_slot);
-    }
-  }
+  stats_.lifetime_violations +=
+      machine_->observers().Emit({.kind = TraceEventKind::kScopeExit, .cpu = cpu,
+                                  .process = proc.ad().index(), .a = sro.index(),
+                                  .b = ctx.ad().index()});
   ctx.SetSlot(ContextLayout::kSlotDemoteSro, AccessDescriptor());
   auto reclaimed = memory_->DestroySro(sro);
   if (!reclaimed.ok()) return 0;

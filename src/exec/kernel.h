@@ -276,24 +276,19 @@ class Kernel {
     InvalidateTranslationCaches();
   }
 
-  // Turns on the dynamic race sanitizer (analysis/races/sanitizer.h). Pure observer: no
-  // virtual-time effect; findings surface as kRaceDetected trace events and via races().
-  void EnableRaceSanitizer() {
-    if (race_sanitizer_ == nullptr) {
-      race_sanitizer_ = std::make_unique<analysis::RaceSanitizer>();
-    }
-  }
-  analysis::RaceSanitizer* race_sanitizer() { return race_sanitizer_.get(); }
+  // Turns on the dynamic race sanitizer (analysis/races/sanitizer.h), an observer on the
+  // machine's event stream. Pure observer: no virtual-time effect; findings surface as
+  // kRaceDetected trace events and via races().
+  void EnableRaceSanitizer() { machine_->observers().EnableRaceSanitizer(); }
+  analysis::RaceSanitizer* race_sanitizer() { return machine_->observers().race_sanitizer(); }
 
   // Turns on the dynamic lifetime auditor (analysis/lifetime/auditor.h): every demoted
   // object is checked to be unreferenced from outside its population at scope exit. Pure
   // observer; findings surface as kLifetimeViolation trace events and via violations().
-  void EnableLifetimeAuditor() {
-    if (lifetime_auditor_ == nullptr) {
-      lifetime_auditor_ = std::make_unique<analysis::LifetimeAuditor>();
-    }
+  void EnableLifetimeAuditor() { machine_->observers().EnableLifetimeAuditor(); }
+  analysis::LifetimeAuditor* lifetime_auditor() {
+    return machine_->observers().lifetime_auditor();
   }
-  analysis::LifetimeAuditor* lifetime_auditor() { return lifetime_auditor_.get(); }
 
   // Aggregate hit/miss counters over every processor's translation cache.
   XlatCacheStats xlat_stats() const;
@@ -347,9 +342,10 @@ class Kernel {
 
   // `instruction` must not alias store-owned memory: a service call inside Execute can
   // reach ProgramStore::Forget/Replace. `program` is read only for the native-step lookup,
-  // before the step runs.
+  // before the step runs. `pc` is the instruction's own pc (the context's has advanced).
   Result<StepEffect> Execute(ProcessorRec& rec, ProcessView& proc, ContextView& ctx,
-                             const Program& program, const Instruction& instruction);
+                             const Program& program, const Instruction& instruction,
+                             uint32_t pc);
 
   // Send/receive bodies shared by the blocking, conditional and native forms. `cpu` is the
   // executing processor, for the event trace.
@@ -366,11 +362,6 @@ class Kernel {
   Result<AccessDescriptor> CreateContext(ProcessView& proc, const AccessDescriptor& segment,
                                          const AccessDescriptor& domain,
                                          const AccessDescriptor& caller, Level level);
-
-  // Forwards one accepted object access to the race sanitizer (no-op when off); a fresh
-  // finding is surfaced as a kRaceDetected trace event on the spot.
-  void NoteAccess(uint16_t cpu, ProcessView& proc, ContextView& ctx, ObjectIndex object,
-                  analysis::ObjectPart part, analysis::AccessKind kind);
 
   // Fault delivery per the iMAX internal-level rules.
   void RaiseFault(ProcessView& proc, Fault fault);
@@ -412,11 +403,12 @@ class Kernel {
   };
 
   // Charges `compute` + `bus` starting at now() to the process's consumed and slice-used
-  // counters and the processor's busy counter. `bucket` names the attribution bin the
-  // compute portion lands in when the profiler or span tracer is armed (bus wait/transfer
-  // split out automatically via BusGrant).
+  // counters and the processor's busy counter, and emits the charge. `bucket` names the
+  // attribution bin of the compute portion (the bus wait/transfer split rides along as the
+  // BusGrant); (site_segment, site_pc) name the instruction charged, if any.
   Charge ChargeCycles(ProcessorRec& rec, ProcessView& proc, Cycles compute, Cycles bus,
-                      CycleBucket bucket = CycleBucket::kInterpreter);
+                      CycleBucket bucket, ObjectIndex site_segment = kInvalidObjectIndex,
+                      uint32_t site_pc = 0);
 
   // Returns a process to the dispatching mix at a time-slice end or a yield. A failed
   // MakeReady (a full dispatching port) is delivered to the process through RaiseFault.
@@ -451,27 +443,12 @@ class Kernel {
   // consumed by AnalyzeSystem's deferred summarization.
   std::map<ObjectIndex, AccessDescriptor> deferred_args_;
   SymbolTable symbols_;
-  std::unique_ptr<analysis::RaceSanitizer> race_sanitizer_;
-  std::unique_ptr<analysis::LifetimeAuditor> lifetime_auditor_;
   bool lifetime_demote_ = false;
   uint32_t demote_sro_bytes_ = 16 * 1024;
   std::map<ObjectIndex, analysis::LifetimeSummary> lifetime_summaries_;
   std::map<ObjectIndex, std::set<uint32_t>> demotable_sites_;  // segment -> demotable pcs
   std::map<ObjectIndex, analysis::InterferenceSummary> interference_summaries_;
   std::map<ObjectIndex, analysis::GuardSummary> guard_summaries_;
-
-  // Observability bookkeeping (src/obs): open port waits keyed by process index and open
-  // domain-call residences keyed by callee context index. Closed in MakeReady / DoReturn;
-  // reaped on fault and termination so a reused object index can never pair a stale start
-  // with a fresh end.
-  struct BlockWait {
-    Cycles start = 0;
-    ObjectIndex port = kInvalidObjectIndex;
-    bool is_send = false;  // blocked sender waits sit on the request's critical path;
-                           // a receiver's pre-arrival wait does not
-  };
-  std::map<ObjectIndex, BlockWait> block_waits_;
-  std::map<ObjectIndex, Cycles> call_starts_;
 };
 
 // Well-known OsCall service ids.

@@ -121,10 +121,9 @@ Status Journal::AppendWithRetry(const std::vector<uint8_t>& batch) {
     ++stats_.retries;
     stats_.backoff_cycles += backoff;
     if (machine_ != nullptr) {
-      machine_->trace().Emit(TraceEventKind::kFilingOp, machine_->now(), kTraceNoProcessor,
-                             kTraceNoProcess,
-                             static_cast<uint32_t>(FilingOpKind::kJournalRetry), attempt + 1,
-                             static_cast<uint32_t>(backoff));
+      machine_->observers().Emit({.kind = TraceEventKind::kFilingOp,
+                                  .a = static_cast<uint32_t>(FilingOpKind::kJournalRetry),
+                                  .b = attempt + 1, .c = static_cast<uint32_t>(backoff)});
     }
   }
   device_->TruncateTail(mark);
@@ -200,10 +199,9 @@ Status Journal::WriteCheckpoint(const std::vector<uint8_t>& snapshot) {
   durable_mutations_ = appended_mutations_;
   ++stats_.checkpoints;
   if (machine_ != nullptr) {
-    machine_->trace().Emit(TraceEventKind::kFilingOp, machine_->now(), kTraceNoProcessor,
-                           kTraceNoProcess,
-                           static_cast<uint32_t>(FilingOpKind::kJournalCheckpoint),
-                           static_cast<uint32_t>(record.size()), 0);
+    machine_->observers().Emit({.kind = TraceEventKind::kFilingOp,
+                                .a = static_cast<uint32_t>(FilingOpKind::kJournalCheckpoint),
+                                .b = static_cast<uint32_t>(record.size())});
   }
   return Status::Ok();
 }

@@ -94,9 +94,9 @@ Result<ObjectStore::Image> ObjectStore::Capture(const AccessDescriptor& object) 
 }
 
 void ObjectStore::EmitTrace(FilingOpKind op, uint32_t b, const std::string& name) const {
-  kernel_->machine().trace().Emit(TraceEventKind::kFilingOp, kernel_->machine().now(),
-                                  kTraceNoProcessor, kTraceNoProcess,
-                                  static_cast<uint32_t>(op), b, HashName(name));
+  kernel_->machine().observers().Emit({.kind = TraceEventKind::kFilingOp,
+                                       .a = static_cast<uint32_t>(op), .b = b,
+                                       .c = HashName(name)});
 }
 
 Status ObjectStore::JournalMutation(JournalRecordType type,
@@ -571,10 +571,9 @@ Status ObjectStore::Recover() {
       (after.corrupt_records_dropped - before.corrupt_records_dropped) +
       (after.orphan_commits - before.orphan_commits) +
       (after.torn_tail_truncations - before.torn_tail_truncations));
-  kernel_->machine().trace().Emit(TraceEventKind::kFilingOp, kernel_->machine().now(),
-                                  kTraceNoProcessor, kTraceNoProcess,
-                                  static_cast<uint32_t>(FilingOpKind::kJournalReplay),
-                                  applied, dropped);
+  kernel_->machine().observers().Emit(
+      {.kind = TraceEventKind::kFilingOp,
+       .a = static_cast<uint32_t>(FilingOpKind::kJournalReplay), .b = applied, .c = dropped});
   if (!replayed.ok()) {
     return replayed;  // unreadable device: boot proceeds with an empty store
   }

@@ -50,9 +50,8 @@ void GarbageCollector::ShadeRoots() {
 
 void GarbageCollector::EmitPhase() {
   // Phase and GcTracePhase share the same ordinals by construction.
-  kernel_->machine().trace().Emit(TraceEventKind::kGcPhase, kernel_->machine().now(),
-                                  kTraceNoProcessor, kTraceNoProcess,
-                                  static_cast<uint32_t>(phase_));
+  kernel_->machine().observers().Emit(
+      {.kind = TraceEventKind::kGcPhase, .a = static_cast<uint32_t>(phase_)});
 }
 
 void GarbageCollector::BeginCycle() {

@@ -56,7 +56,7 @@ Result<const PortSubsystem::PortShadow*> PortSubsystem::ResolveShadow(
 
 Status PortSubsystem::Enqueue(const AccessDescriptor& port_ad, const AccessDescriptor& message,
                               uint8_t sender_priority, uint32_t sender_deadline,
-                              bool privileged) {
+                              bool privileged, uint32_t sender) {
   IMAX_ASSIGN_OR_RETURN(PortShadow * shadow, ResolveShadow(port_ad));
   if (shadow->free_slots.empty()) {
     return Fault::kQueueFull;
@@ -87,8 +87,8 @@ Status PortSubsystem::Enqueue(const AccessDescriptor& port_ad, const AccessDescr
       key = sender_deadline;  // earlier deadline dequeues first
       break;
   }
-  last_enqueue_seq_ = next_seq_;
-  shadow->queue.push_back(QueueEntry{slot, key, next_seq_++});
+  const uint64_t seq = next_seq_++;
+  shadow->queue.push_back(QueueEntry{slot, key, seq});
   if (shadow->queue.size() > stats_.peak_queue_depth) {
     stats_.peak_queue_depth = shadow->queue.size();
   }
@@ -96,13 +96,14 @@ Status PortSubsystem::Enqueue(const AccessDescriptor& port_ad, const AccessDescr
   port.SetField(PortLayout::kOffCount, 2, shadow->queue.size());
   port.Increment(PortLayout::kOffSendsTotal, 8);
   ++stats_.messages_enqueued;
-  machine_->trace().Emit(TraceEventKind::kSend, machine_->now(), kTraceNoProcessor,
-                         kTraceNoProcess, port_ad.index(),
-                         static_cast<uint32_t>(shadow->queue.size()), message.index());
+  machine_->observers().Emit({.kind = TraceEventKind::kSend, .a = port_ad.index(),
+                              .b = static_cast<uint32_t>(shadow->queue.size()),
+                              .c = message.index(), .d = sender, .seq = seq});
   return Status::Ok();
 }
 
-Result<AccessDescriptor> PortSubsystem::Dequeue(const AccessDescriptor& port_ad) {
+Result<AccessDescriptor> PortSubsystem::Dequeue(const AccessDescriptor& port_ad,
+                                                uint32_t receiver) {
   IMAX_ASSIGN_OR_RETURN(PortShadow * shadow, ResolveShadow(port_ad));
   if (shadow->queue.empty()) {
     return Fault::kQueueEmpty;
@@ -118,7 +119,7 @@ Result<AccessDescriptor> PortSubsystem::Dequeue(const AccessDescriptor& port_ad)
     }
   }
   uint16_t slot = shadow->queue[best].slot;
-  last_dequeue_seq_ = shadow->queue[best].seq;
+  const uint64_t seq = shadow->queue[best].seq;
   shadow->queue.erase(shadow->queue.begin() + static_cast<ptrdiff_t>(best));
   ++stats_.messages_dequeued;
 
@@ -130,9 +131,9 @@ Result<AccessDescriptor> PortSubsystem::Dequeue(const AccessDescriptor& port_ad)
   ObjectView port(&machine_->addressing(), port_ad);
   port.SetField(PortLayout::kOffCount, 2, shadow->queue.size());
   port.Increment(PortLayout::kOffReceivesTotal, 8);
-  machine_->trace().Emit(TraceEventKind::kReceive, machine_->now(), kTraceNoProcessor,
-                         kTraceNoProcess, port_ad.index(),
-                         static_cast<uint32_t>(shadow->queue.size()), message.index());
+  machine_->observers().Emit({.kind = TraceEventKind::kReceive, .a = port_ad.index(),
+                              .b = static_cast<uint32_t>(shadow->queue.size()),
+                              .c = message.index(), .d = receiver, .seq = seq});
   return message;
 }
 

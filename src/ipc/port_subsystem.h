@@ -74,10 +74,15 @@ class PortSubsystem {
   // dispatching ports, so those enqueues bypass the level rule (a stale process AD left by a
   // destroyed local process is caught by the generation check at dequeue). Software message
   // traffic must never pass privileged=true.
+  // `sender` / `receiver` name the process on whose behalf the kernel moves the message
+  // (kTraceNoProcess for kernel machinery, kObsExternal for Kernel::PostMessage); the
+  // observers order the two ends by the transfer's sequence number.
   Status Enqueue(const AccessDescriptor& port_ad, const AccessDescriptor& message,
-                 uint8_t sender_priority, uint32_t sender_deadline, bool privileged = false);
+                 uint8_t sender_priority, uint32_t sender_deadline, bool privileged = false,
+                 uint32_t sender = kTraceNoProcess);
   // Dequeue faults with kQueueEmpty when nothing is queued.
-  Result<AccessDescriptor> Dequeue(const AccessDescriptor& port_ad);
+  Result<AccessDescriptor> Dequeue(const AccessDescriptor& port_ad,
+                                   uint32_t receiver = kTraceNoProcess);
 
   // Blocked-process queues (FIFO).
   Status PushBlockedSender(const AccessDescriptor& port_ad, const BlockedSender& sender);
@@ -111,12 +116,6 @@ class PortSubsystem {
 
   const PortStats& stats() const { return stats_; }
 
-  // Transfer sequence numbers of the most recent successful Enqueue / Dequeue. The race
-  // sanitizer keys in-flight message clocks by these, matching each dequeue to the exact
-  // enqueue that produced the message even when one object is queued repeatedly.
-  uint64_t last_enqueue_seq() const { return last_enqueue_seq_; }
-  uint64_t last_dequeue_seq() const { return last_dequeue_seq_; }
-
  private:
   struct QueueEntry {
     uint16_t slot;
@@ -140,8 +139,6 @@ class PortSubsystem {
   std::map<ObjectIndex, PortShadow> states_;
   PortStats stats_;
   uint64_t next_seq_ = 0;
-  uint64_t last_enqueue_seq_ = 0;
-  uint64_t last_dequeue_seq_ = 0;
 };
 
 }  // namespace imax432

@@ -86,9 +86,8 @@ Result<AccessDescriptor> BasicMemoryManager::CreateObject(const AccessDescriptor
   SyncSroCounters(*sro);
   ++stats_.objects_created;
   stats_.resident_bytes += data_bytes;
-  machine_->latency().allocation.Record(cycles::CreateObjectCost(data_bytes, access_slots));
-  machine_->trace().Emit(TraceEventKind::kAllocate, machine_->now(), kTraceNoProcessor,
-                         kTraceNoProcess, index.value(), data_bytes, access_slots);
+  machine_->observers().Emit(
+      {.kind = TraceEventKind::kAllocate, .a = index.value(), .b = data_bytes, .c = access_slots});
   return machine_->table().MintAd(index.value(), ad_rights);
 }
 
@@ -123,8 +122,8 @@ Status BasicMemoryManager::DestroyByIndex(ObjectIndex index, bool forget_in_orig
     stats_.resident_bytes -= descriptor.data_length;
   }
   ++stats_.objects_destroyed;
-  machine_->trace().Emit(TraceEventKind::kDestroy, machine_->now(), kTraceNoProcessor,
-                         kTraceNoProcess, index, descriptor.data_length);
+  machine_->observers().Emit(
+      {.kind = TraceEventKind::kDestroy, .a = index, .b = descriptor.data_length});
   return machine_->table().Free(index);
 }
 

@@ -37,9 +37,8 @@ Result<uint32_t> SwappingMemoryManager::StoreOutWithRetry(const std::vector<uint
     Cycles backoff = BackingStore::kAccessLatencyCycles << attempt;
     pending_penalty_ += backoff;
     ++device_retries_;
-    machine()->trace().Emit(TraceEventKind::kDeviceRetry, machine()->now(), kTraceNoProcessor,
-                            kTraceNoProcess, index, attempt + 1,
-                            static_cast<uint32_t>(backoff));
+    machine()->observers().Emit({.kind = TraceEventKind::kDeviceRetry, .a = index,
+                                 .b = attempt + 1, .c = static_cast<uint32_t>(backoff)});
   }
 }
 
@@ -57,9 +56,8 @@ Result<std::vector<uint8_t>> SwappingMemoryManager::FetchInWithRetry(uint32_t sl
     Cycles backoff = BackingStore::kAccessLatencyCycles << attempt;
     pending_penalty_ += backoff;
     ++device_retries_;
-    machine()->trace().Emit(TraceEventKind::kDeviceRetry, machine()->now(), kTraceNoProcessor,
-                            kTraceNoProcess, index, attempt + 1,
-                            static_cast<uint32_t>(backoff));
+    machine()->observers().Emit({.kind = TraceEventKind::kDeviceRetry, .a = index,
+                                 .b = attempt + 1, .c = static_cast<uint32_t>(backoff)});
   }
 }
 
@@ -93,8 +91,8 @@ Result<uint32_t> SwappingMemoryManager::EvictOne(Sro* sro) {
     descriptor.backing_slot = slot;
     mutable_stats().resident_bytes -= descriptor.data_length;
     ++swap_outs_;
-    machine()->trace().Emit(TraceEventKind::kSwapOut, machine()->now(), kTraceNoProcessor,
-                            kTraceNoProcess, index, descriptor.data_length);
+    machine()->observers().Emit(
+        {.kind = TraceEventKind::kSwapOut, .a = index, .b = descriptor.data_length});
     IMAX_LOG_DEBUG("swapped out object %u (%u bytes)", index, descriptor.data_length);
     return descriptor.storage_claim;
   }
@@ -133,8 +131,8 @@ Result<Cycles> SwappingMemoryManager::EnsureResident(ObjectIndex index) {
   descriptor.swapped_out = false;
   mutable_stats().resident_bytes += descriptor.data_length;
   ++swap_ins_;
-  machine()->trace().Emit(TraceEventKind::kSwapIn, machine()->now(), kTraceNoProcessor,
-                          kTraceNoProcess, index, descriptor.data_length);
+  machine()->observers().Emit(
+      {.kind = TraceEventKind::kSwapIn, .a = index, .b = descriptor.data_length});
   SyncSroCounters(*origin);
   IMAX_LOG_DEBUG("swapped in object %u (%u bytes)", index, descriptor.data_length);
   // Charge this transfer plus any retry backoff accrued since the last fault (including

@@ -87,8 +87,7 @@ class Histogram {
   Cycles max_ = 0;
 };
 
-// The four kernel latency distributions, owned by Machine so every subsystem can reach
-// them through the pointer it already holds.
+// The four kernel latency distributions, fed by the observer bus (src/obs/observer_bus.h).
 struct LatencyHistograms {
   Histogram port_wait;         // block -> unblock, per process
   Histogram dispatch_latency;  // dispatch decision -> process running (incl. bus wait)

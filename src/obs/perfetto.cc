@@ -287,6 +287,8 @@ void Exporter::HandleEvent(const TraceEvent& event) {
                   ",\"name_hash\":" + std::to_string(event.c) + "}");
       break;
     }
+    default:
+      break;  // the kinds after kFilingOp never reach the ring
   }
 }
 

@@ -1,6 +1,6 @@
 // CycleProfiler: cycle-exact attribution of every virtual cycle a GDP lives through.
 //
-// The kernel charges every interval of a processor's timeline into one CycleBucket
+// Every interval of a processor's timeline is charged into one CycleBucket
 // (src/arch/cycle_model.h): instruction compute, dispatch machinery, bus wait/occupancy,
 // swap service, fault-recovery gaps, idle parking, and post-retirement halt. The accounting
 // is gap-free by construction — each per-CPU slot tracks `accounted_until`, the boundary up
@@ -8,8 +8,8 @@
 // after FlushOpenIntervals the per-CPU bucket sums equal (end - epoch_start) exactly. That
 // identity is the profiler's correctness oracle (bench_profiler E17 asserts it to ±0).
 //
-// Pure observer: the profiler never touches virtual time, never emits trace events, and
-// costs one predicted branch per charge site when disabled. Daemon processes (GC, patrol,
+// Pure observer: the profiler never touches virtual time and never emits trace events; the
+// observer bus feeds it. Daemon processes (GC, patrol,
 // fault service) are tagged so their interpreter cycles rebin under kGc / kFaultRecovery;
 // tags are recorded unconditionally (boot-time, three entries) so enabling the profiler
 // later still attributes daemons correctly.
@@ -54,7 +54,7 @@ class CycleProfiler {
   }
   bool enabled() const { return enabled_; }
 
-  // Called for every GDP at AddProcessors time, enabled or not (boot-time, cheap), so the
+  // Called for every GDP as it comes online, enabled or not (boot-time, cheap), so the
   // epoch baseline exists whenever profiling is armed.
   void OnProcessorAdded(uint16_t cpu, Cycles now) {
     if (cpus_.size() <= cpu) {

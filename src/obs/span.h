@@ -1,15 +1,15 @@
 // SpanTracer: Dapper-style causal request tracing over the port mechanism.
 //
 // A *span* is one contiguous episode of a process working on behalf of one causal root
-// request. The trace context — root request id + parent span id — rides with messages:
-// DoSend stamps the port-subsystem transfer sequence of each enqueue with the sender's
-// current span, DoReceive resolves the stamp at dequeue and opens a child span in the
+// request. The trace context — root request id + parent span id — rides with messages: a
+// send stamps the port-subsystem transfer sequence of each enqueue with the sender's
+// current span, the receive resolves the stamp at dequeue and opens a child span in the
 // receiver, and the direct-handoff fast path links sender to receiver without touching the
 // queue. Domain calls push nested spans; process spawn inherits the parent's context for
 // the child's first span; traffic injected from outside the simulation (PostMessage — boot
 // code, fault delivery, tests) starts a fresh root.
 //
-// Per-span cycle composition reuses the profiler's CycleBucket taxonomy: ChargeCycles feeds
+// Per-span cycle composition reuses the profiler's CycleBucket taxonomy: every charge feeds
 // each charged instruction into the executing process's current span, so a completed span
 // tree carries exactly where its latency went. Critical-path extraction
 // (src/obs/critical_path.h) and the Perfetto flow export (src/obs/perfetto.h) consume the
@@ -50,21 +50,21 @@ class SpanTracer {
   void Enable(uint32_t capacity = kDefaultCapacity);
   bool enabled() const { return enabled_; }
 
-  // --- Kernel hooks (all no-ops when disabled) ---
+  // --- Observer-bus hooks (all no-ops when disabled) ---
 
-  // CreateProcess: the child's first span will parent under the spawner's current span.
+  // spawn: the child's first span will parent under the spawner's current span.
   void OnSpawn(uint32_t parent_process, uint32_t child_process);
-  // DoSend queue path: stamp the enqueued transfer with the sender's current span.
+  // send (queued): stamp the enqueued transfer with the sender's current span.
   void OnSend(uint32_t process, uint64_t transfer_seq, Cycles ts);
-  // DoReceive dequeue path: close the receiver's current span, open a child of the stamp
+  // receive (dequeued): close the receiver's current span, open a child of the stamp
   // (or a fresh root for an unstamped message).
   void OnReceive(uint32_t process, uint64_t transfer_seq, Cycles ts);
-  // DoSend fast path: message handed straight to a blocked receiver.
+  // handoff: message handed straight to a blocked receiver.
   void OnHandoff(uint32_t sender, uint32_t receiver, Cycles ts);
-  // PostMessage: traffic from outside the simulation starts a fresh root request.
+  // Kernel::PostMessage: traffic from outside the simulation starts a fresh root request.
   void OnExternalSend(uint64_t transfer_seq);
   void OnExternalHandoff(uint32_t receiver, Cycles ts);
-  // DoReceive blocking on an empty port ends the receiver's current episode (the wait for
+  // block-receive: blocking on an empty port ends the receiver's current episode (the wait for
   // the *next* request is not part of this one).
   void OnBlockReceive(uint32_t process, Cycles ts);
   // Domain call/return nesting.
@@ -74,7 +74,7 @@ class SpanTracer {
   void OnFault(uint32_t process, Cycles ts);
   void OnTerminate(uint32_t process, Cycles ts);
 
-  // ChargeCycles: bin `cycles` into the process's current span (lazily opening a root span
+  // charge: bin `cycles` into the process's current span (lazily opening a root span
   // for processes running outside any request context), and advance its last activity.
   void ChargeCurrent(uint32_t process, CycleBucket bucket, Cycles cycles, Cycles ts);
 

@@ -32,6 +32,13 @@ const char* TraceEventKindName(TraceEventKind kind) {
     case TraceEventKind::kPatrolSweep: return "patrol-sweep";
     case TraceEventKind::kLifetimeViolation: return "lifetime-violation";
     case TraceEventKind::kFilingOp: return "filing-op";
+    case TraceEventKind::kCharge: return "charge";
+    case TraceEventKind::kAccess: return "access";
+    case TraceEventKind::kSpawn: return "spawn";
+    case TraceEventKind::kHandoff: return "handoff";
+    case TraceEventKind::kDemote: return "demote";
+    case TraceEventKind::kScopeExit: return "scope-exit";
+    case TraceEventKind::kProcessorOnline: return "processor-online";
   }
   return "unknown";
 }

@@ -6,10 +6,8 @@
 // every interesting kernel transition emits one fixed-size POD TraceEvent stamped with the
 // virtual clock. Events live in a fixed-capacity ring (oldest overwritten first), so tracing
 // a long run is bounded-memory. When disabled — the default — Emit() is a single branch and
-// the buffer is never allocated, so instrumented hot paths cost nothing measurable.
-//
-// This header is deliberately dependency-light (arch/types.h only) so that sim/machine.h can
-// own a TraceRecorder without include cycles.
+// the buffer is never allocated. The observer bus (src/obs/observer_bus.h) owns the recorder
+// and feeds it every ring kind of its event stream.
 
 #ifndef IMAX432_SRC_OBS_TRACE_H_
 #define IMAX432_SRC_OBS_TRACE_H_
@@ -25,19 +23,26 @@
 
 namespace imax432 {
 
-// The event taxonomy. One kind per kernel transition worth plotting on a timeline; payload
-// word meanings are documented per kind (and in DESIGN.md section 7).
+// The event taxonomy of the observer bus (src/obs/observer_bus.h): one kind per kernel or
+// subsystem transition. Kinds up to kFilingOp are recorded in the ring; the kinds after it
+// feed the other observers only. Payload word meanings are documented per kind (and in
+// DESIGN.md section 7); fields named after the ring words are ObsEvent fields the ring
+// never records.
 enum class TraceEventKind : uint8_t {
-  kDispatch = 0,    // process bound to a processor; a = dispatch latency in cycles
+  kDispatch = 0,    // process bound to a processor; a = dispatch latency in cycles, which
+                    // the bus derives from the dispatch charge (cycles + grant)
   kPreempt,         // time-slice end; process returned to its dispatching port
   kIdle,            // processor found no ready process; a = dispatching port index
   kBlockSend,       // process blocked sending; a = port index, b = queue depth
   kBlockReceive,    // process blocked receiving; a = port index, b = queue depth
   kUnblock,         // blocked process made ready again; a = port index, b = wait cycles
-  kSend,            // message enqueued; a = port index, b = queue depth after
-  kReceive,         // message dequeued; a = port index, b = queue depth after
+  kSend,            // message enqueued; a = port index, b = queue depth after, c = message
+                    // index; d = sending process (kTraceNoProcess for kernel machinery,
+                    // kObsExternal for PostMessage), seq = port transfer sequence number
+  kReceive,         // message dequeued; a = port index, b = queue depth after, c = message
+                    // index; d = receiving process (or kTraceNoProcess), seq as for kSend
   kAllocate,        // object created; a = object index, b = bytes, c = access slots
-  kDestroy,         // object destroyed; a = object index
+  kDestroy,         // object destroyed; a = object index, b = bytes
   kSwapOut,         // segment evicted to backing store; a = object index, b = bytes
   kSwapIn,          // segment brought back; a = object index, b = bytes
   kDomainCall,      // inter-domain call; a = callee context index, b = modeled cost cycles
@@ -64,6 +69,22 @@ enum class TraceEventKind : uint8_t {
   // so later kinds keep their numbers.
   kFilingOp = 29,   // filing-layer operation; a = FilingOpKind, b = payload bytes or
                     // record count, c = FNV-1a hash of the filed name (0 if none)
+  // Not recorded in the ring.
+  kCharge,          // cycles charged to a GDP; process (kTraceNoProcess for GDP-only work),
+                    // bucket, cycles + grant; a = instruction segment and b = pc of the
+                    // charged instruction (a = kTraceNoProcess when none)
+  kAccess,          // object access the addressing unit accepted; a = object index, b = pc,
+                    // c = ObjectPart, d = AccessKind (src/analysis/effects.h)
+  kSpawn,           // process created; process = the child, a = its parent (or
+                    // kTraceNoProcess)
+  kHandoff,         // message handed straight to a blocked receiver; process = sender
+                    // (kObsExternal for PostMessage), a = port index, b = receiver,
+                    // c = message index. A sender process's handoff is recorded as the
+                    // kSend/kReceive pair it stands for.
+  kDemote,          // demoted allocation; a = object index, b = demote SRO index,
+                    // c = instruction segment, d = allocation-site pc
+  kScopeExit,       // a context's demote SRO is about to die; a = SRO index, b = context
+  kProcessorOnline, // GDP came online
 };
 
 // Payload word `a` of kFilingOp events (see src/filing/object_store.h).
@@ -90,6 +111,8 @@ const char* FilingOpKindName(FilingOpKind kind);
 // Sentinels for events with no processor / process association.
 inline constexpr uint16_t kTraceNoProcessor = 0xffff;
 inline constexpr uint32_t kTraceNoProcess = 0xffffffff;
+// Sender of a message posted from outside the simulation (Kernel::PostMessage).
+inline constexpr uint32_t kObsExternal = 0xfffffffe;
 
 // One timeline sample. POD with no default initializers so the ring can be allocated
 // without touching its pages (Enable() would otherwise zero-fill megabytes up front).

@@ -30,9 +30,8 @@ void ObjectPatrol::Quarantine(ObjectIndex index, CheckKind kind) {
   descriptor.quarantined = true;
   shadow_.erase(index);
   ++stats_.objects_quarantined;
-  kernel_->machine().trace().Emit(TraceEventKind::kObjectQuarantined,
-                                  kernel_->machine().now(), kTraceNoProcessor,
-                                  kTraceNoProcess, index, static_cast<uint32_t>(kind));
+  kernel_->machine().observers().Emit(
+      {.kind = TraceEventKind::kObjectQuarantined, .a = index, .b = static_cast<uint32_t>(kind)});
   IMAX_LOG_INFO("patrol quarantined object %u (check %u)", index,
                 static_cast<unsigned>(kind));
 }
@@ -118,9 +117,9 @@ bool ObjectPatrol::Step(uint32_t units) {
   if (cursor_ >= capacity) {
     sweeping_ = false;
     ++stats_.sweeps_completed;
-    kernel_->machine().trace().Emit(
-        TraceEventKind::kPatrolSweep, kernel_->machine().now(), kTraceNoProcessor,
-        kTraceNoProcess, capacity, static_cast<uint32_t>(stats_.objects_quarantined));
+    kernel_->machine().observers().Emit(
+        {.kind = TraceEventKind::kPatrolSweep, .a = capacity,
+         .b = static_cast<uint32_t>(stats_.objects_quarantined)});
     return false;
   }
   return true;

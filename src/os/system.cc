@@ -18,7 +18,7 @@ System::System(const SystemConfig& config)
     machine_.profiler().Enable(config.profile_sample_period);
   }
   if (config.span_trace) {
-    machine_.spans().Enable(config.span_capacity);
+    machine_.spans().Enable();
   }
   // §6.2: one memory specification, two implementations; the system is configured by
   // selecting one, and nothing downstream changes.
@@ -70,16 +70,6 @@ System::System(const SystemConfig& config)
       // Keep the whole-system IPC analysis in step: a reclaimed segment's summary must not
       // keep feeding the wait-for graph.
       kernel_->ForgetProgramAnalysis(index);
-    }
-    if (kernel_->race_sanitizer() != nullptr) {
-      // A reclaimed index may be reused; stale epochs would fabricate races against the
-      // next object that lands there.
-      kernel_->race_sanitizer()->OnObjectDestroyed(index);
-    }
-    if (kernel_->lifetime_auditor() != nullptr) {
-      // Same reuse hazard: a tracked demoted object reclaimed through any other path must
-      // not leave a stale audit entry behind.
-      kernel_->lifetime_auditor()->OnObjectDestroyed(index);
     }
     // Drop the patrol's CRC baseline: the index may be reused (the generation key would
     // catch it anyway, but the entry is dead weight).

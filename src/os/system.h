@@ -46,16 +46,18 @@ struct SystemConfig {
   // CreateProcess / CreateDomain; provably-faulting programs are rejected with
   // Fault::kVerificationFailed instead of being dispatched.
   bool verify_on_load = false;
+  // The observers below (trace, race_sanitize, lifetime_audit, profile, span_trace) read
+  // the machine's observer bus (src/obs/observer_bus.h); none of them changes the simulated
+  // timeline.
   // Record cycle-timestamped kernel events (dispatches, port traffic, allocations, GC
   // phases, ...) into the machine's TraceRecorder ring, and route kTrace-level log lines
   // into its annotation channel. Export with ExportChromeTrace (src/obs/perfetto.h) or the
-  // imax_trace tool. Off by default: the disabled hooks cost one predicted branch each.
+  // imax_trace tool.
   bool trace = false;
   uint32_t trace_capacity = TraceRecorder::kDefaultCapacity;
   // Run the dynamic data-race sanitizer (src/analysis/races/sanitizer.h): vector clocks
   // over port transfers, checked at every data / access-part touch. Findings surface as
-  // kRaceDetected trace events and via kernel().race_sanitizer()->races(). Pure observer:
-  // the simulated timeline is bit-identical with it on or off.
+  // kRaceDetected trace events and via kernel().race_sanitizer()->races().
   bool race_sanitize = false;
   // Start the object-table patrol daemon (src/os/patrol.h): a low-priority process that
   // validates descriptor checksums, level invariants and data-part CRCs, quarantining
@@ -74,20 +76,17 @@ struct SystemConfig {
   // Dynamic cross-check for the demotion verdicts (src/analysis/lifetime/auditor.h): at
   // every demote-SRO bulk destroy, flat-scan the live object table for surviving references
   // into the doomed population. Escapes raise kLifetimeViolation trace events and count in
-  // kernel().stats().lifetime_violations. Pure observer: bit-identical timeline on or off.
+  // kernel().stats().lifetime_violations.
   bool lifetime_audit = false;
   uint32_t demote_sro_bytes = 16 * 1024;
 
   // Cycle-attribution profiler (src/obs/profiler.h): bin every virtual cycle of every GDP
   // into a CycleBucket, plus a deterministic 1-in-N hot-site sample of interpreter dispatch.
-  // Pure observer: zero cycle charges, bit-identical virtual time (and replay fingerprint)
-  // on or off.
   bool profile = false;
   uint32_t profile_sample_period = 64;
   // Causal span tracing (src/obs/span.h): Dapper-style request trees over port sends,
-  // direct handoffs, domain calls and process spawns. Pure observer, same guarantee.
+  // direct handoffs, domain calls and process spawns.
   bool span_trace = false;
-  uint32_t span_capacity = 1 << 20;
 
   // Stable device backing the filing system's write-ahead journal (src/filing/journal.h).
   // Non-owned: the device outlives the System — that is the whole point. A crash-restart

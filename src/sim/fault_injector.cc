@@ -232,9 +232,9 @@ bool FaultInjector::Apply(const InjectionEvent& event) {
   if (applied) {
     ++stats_.fired;
     ++stats_.per_kind[static_cast<size_t>(event.kind)];
-    machine.trace().Emit(TraceEventKind::kInjection, machine.now(), kTraceNoProcessor,
-                         kTraceNoProcess, static_cast<uint32_t>(event.kind), concrete,
-                         event.arg);
+    machine.observers().Emit({.kind = TraceEventKind::kInjection,
+                              .a = static_cast<uint32_t>(event.kind), .b = concrete,
+                              .c = event.arg});
     IMAX_LOG_DEBUG("injector: %s target=%u arg=%u", InjectionKindName(event.kind), concrete,
                    event.arg);
   } else {

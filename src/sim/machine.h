@@ -15,10 +15,7 @@
 #include "src/arch/cycle_model.h"
 #include "src/arch/object_table.h"
 #include "src/arch/physical_memory.h"
-#include "src/obs/histogram.h"
-#include "src/obs/profiler.h"
-#include "src/obs/span.h"
-#include "src/obs/trace.h"
+#include "src/obs/observer_bus.h"
 #include "src/sim/bus.h"
 #include "src/sim/event_queue.h"
 
@@ -38,7 +35,8 @@ class Machine {
         memory_(config.memory_bytes),
         table_(config.object_table_capacity),
         addressing_(&table_, &memory_),
-        bus_(config.bus_channels) {}
+        bus_(config.bus_channels),
+        observers_(&table_, &events_) {}
 
   Machine(const Machine&) = delete;
   Machine& operator=(const Machine&) = delete;
@@ -50,16 +48,17 @@ class Machine {
   Bus& bus() { return bus_; }
   EventQueue& events() { return events_; }
 
-  // Observability state lives with the clock it timestamps against. Every subsystem holds a
-  // Machine*, so no extra plumbing is needed to reach the recorder or the histograms.
-  TraceRecorder& trace() { return trace_; }
-  const TraceRecorder& trace() const { return trace_; }
-  LatencyHistograms& latency() { return latency_; }
-  const LatencyHistograms& latency() const { return latency_; }
-  CycleProfiler& profiler() { return profiler_; }
-  const CycleProfiler& profiler() const { return profiler_; }
-  SpanTracer& spans() { return spans_; }
-  const SpanTracer& spans() const { return spans_; }
+  // Observability lives with the clock it timestamps against. Every subsystem holds a
+  // Machine*, so every transition reaches the one event stream without extra plumbing.
+  ObserverBus& observers() { return observers_; }
+  TraceRecorder& trace() { return observers_.trace(); }
+  const TraceRecorder& trace() const { return observers_.trace(); }
+  LatencyHistograms& latency() { return observers_.latency(); }
+  const LatencyHistograms& latency() const { return observers_.latency(); }
+  CycleProfiler& profiler() { return observers_.profiler(); }
+  const CycleProfiler& profiler() const { return observers_.profiler(); }
+  SpanTracer& spans() { return observers_.spans(); }
+  const SpanTracer& spans() const { return observers_.spans(); }
 
   Cycles now() const { return events_.now(); }
 
@@ -70,10 +69,7 @@ class Machine {
   AddressingUnit addressing_;
   Bus bus_;
   EventQueue events_;
-  TraceRecorder trace_;
-  LatencyHistograms latency_;
-  CycleProfiler profiler_;
-  SpanTracer spans_;
+  ObserverBus observers_;
 };
 
 }  // namespace imax432

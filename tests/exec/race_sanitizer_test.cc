@@ -327,5 +327,67 @@ TEST(RaceSanitizerKernelTest, TerminatedProcessIndexReuseDoesNotFalsePositive) {
   EXPECT_TRUE(rig.kernel.race_sanitizer()->races().empty());
 }
 
+// Object indices are reused LIFO, so an object B allocates can land on the index of one
+// that A stored into and then bulk-destroyed with its local heap. Those are two
+// incarnations: the destroyed one's epochs must not survive into the new one.
+// `owned_heap` picks how A's heap dies: false = destroy_sro; true = A creates it in a
+// called domain's activation, which owns it, and the heap dies at that context's return.
+uint64_t RunIndexReusePair(bool owned_heap) {
+  Rig rig;
+  EXPECT_TRUE(rig.kernel.AddProcessors(1).ok());  // A and B run side by side
+  rig.kernel.EnableRaceSanitizer();
+  const AccessDescriptor heap = rig.memory.global_heap();
+
+  Assembler a("reuse.a");
+  if (owned_heap) {
+    Assembler callee("reuse.a.callee");
+    callee.LoadImm(0, 1)
+        .CreateSro(1, kArgAdReg, 4096)
+        .CreateObject(2, 1, 64)
+        .StoreData(2, 0, 0)
+        .Return();  // the owned heap, and the object in it, die here
+    auto segment = rig.kernel.programs().Register(callee.Build());
+    EXPECT_TRUE(segment.ok());
+    auto domain = rig.kernel.CreateDomain({segment.value()});
+    EXPECT_TRUE(domain.ok());
+    AccessDescriptor carrier = rig.MakeCarrier(heap, domain.value());
+    a.LoadAd(1, kArgAdReg, 1).LoadAd(kArgAdReg, kArgAdReg, 0).Call(1, 0).Compute(200000).Halt();
+    rig.Spawn(a, carrier);
+  } else {
+    a.LoadImm(0, 1)
+        .CreateSro(1, kArgAdReg, 4096)
+        .CreateObject(2, 1, 64)
+        .StoreData(2, 0, 0)
+        .DestroySro(1)
+        .Compute(200000)
+        .Halt();
+    rig.Spawn(a, heap);
+  }
+
+  // B starts while A still runs, so no retirement orders A before it. It stores into every
+  // object it allocates, whichever freed index each lands on.
+  Assembler b("reuse.b");
+  b.Compute(100000)
+      .LoadImm(0, 2)
+      .CreateSro(1, kArgAdReg, 4096)
+      .CreateObject(2, 1, 64)
+      .CreateObject(3, 1, 64)
+      .StoreData(2, 0, 0)
+      .StoreData(3, 0, 0)
+      .Halt();
+  rig.Spawn(b, heap);
+  rig.kernel.Run();
+  EXPECT_EQ(rig.kernel.stats().processes_terminated, 2u);
+  return rig.kernel.race_sanitizer()->stats().races_detected;
+}
+
+TEST(RaceSanitizerKernelTest, DestroySroMemberIndexReuseDoesNotFalsePositive) {
+  EXPECT_EQ(RunIndexReusePair(/*owned_heap=*/false), 0u);
+}
+
+TEST(RaceSanitizerKernelTest, OwnedHeapDyingAtReturnDoesNotFalsePositive) {
+  EXPECT_EQ(RunIndexReusePair(/*owned_heap=*/true), 0u);
+}
+
 }  // namespace
 }  // namespace imax432

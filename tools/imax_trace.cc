@@ -17,7 +17,8 @@
 // time (the gap-free invariant). --critical-path additionally arms causal span tracing and
 // prints the longest request's chain composition plus p50/p99/p999 end-to-end latency.
 // --span-export FILE writes the span trees as Chrome trace-event JSON with flow arrows.
-// All three are pure observers: virtual time (and the campaign replay fingerprint under
+// --race-sanitize arms the dynamic race sanitizer and fails the run on any race. All of
+// them are pure observers: virtual time (and the campaign replay fingerprint under
 // --inject) is bit-identical with them on or off.
 //
 // --inject N switches to fault-injection campaign mode: a seeded schedule of N hardware
@@ -287,11 +288,12 @@ std::unique_ptr<System> RunChurn(SystemConfig config) {
   return system;
 }
 
-std::unique_ptr<System> RunWorkload(const Options& options, bool trace) {
+// The settings both workload and campaign modes take from the flags. Every observer is
+// pure: the replay fingerprint is bit-identical with them on or off (CI diffs the observed
+// campaign's fingerprint against the plain one).
+SystemConfig FlagConfig(const Options& options) {
   SystemConfig config;
   config.processors = options.processors;
-  config.machine.memory_bytes = 8 * 1024 * 1024;
-  config.trace = trace;
   config.trace_capacity = options.trace_capacity;
   config.race_sanitize = options.race_sanitize;
   if (options.lifetime_demote) {
@@ -304,6 +306,13 @@ std::unique_ptr<System> RunWorkload(const Options& options, bool trace) {
   }
   config.profile = options.profile;
   config.span_trace = options.spans_armed();
+  return config;
+}
+
+std::unique_ptr<System> RunWorkload(const Options& options, bool trace) {
+  SystemConfig config = FlagConfig(options);
+  config.machine.memory_bytes = 8 * 1024 * 1024;
+  config.trace = trace;
   std::unique_ptr<System> system;
   if (options.workload == "quickstart") {
     system = RunQuickstart(config);
@@ -341,8 +350,9 @@ bool WriteFile(const std::string& path, const std::string& contents) {
 // --- Profiler / span reporting (shared by workload and campaign modes) ---
 
 // Flushes the observers at quiescence, prints the per-GDP attribution table, hot sites,
-// critical-path report, and span export. Returns nonzero if the gap-free invariant fails:
-// every GDP's bucket sums must equal its online time exactly.
+// critical-path report, span export and race-sanitizer summary. Returns nonzero if the
+// gap-free invariant fails (every GDP's bucket sums must equal its online time exactly) or
+// the sanitizer found a race.
 int ReportObservers(System& system, const Options& options) {
   int rc = 0;
   Machine& machine = system.machine();
@@ -423,6 +433,26 @@ int ReportObservers(System& system, const Options& options) {
                    static_cast<unsigned long long>(machine.spans().dropped()));
     }
   }
+  if (options.race_sanitize) {
+    const analysis::RaceSanitizer* sanitizer = system.kernel().race_sanitizer();
+    const analysis::RaceSanitizerStats& stats = sanitizer->stats();
+    std::fprintf(stderr,
+                 "race sanitizer: %llu accesses checked, %llu messages stamped, "
+                 "%llu joins, %llu race(s)\n",
+                 static_cast<unsigned long long>(stats.accesses_checked),
+                 static_cast<unsigned long long>(stats.messages_stamped),
+                 static_cast<unsigned long long>(stats.joins),
+                 static_cast<unsigned long long>(stats.races_detected));
+    // The canned workloads and the campaign fleet are race-free by construction; a finding
+    // is a real defect (or a sanitizer bug) and must fail the run so CI catches it.
+    for (const analysis::RaceRecord& race : sanitizer->races()) {
+      std::fprintf(stderr, "  race: object %llu process %llu pc %u vs process %llu pc %u\n",
+                   static_cast<unsigned long long>(race.object),
+                   static_cast<unsigned long long>(race.first_process), race.first_pc,
+                   static_cast<unsigned long long>(race.second_process), race.second_pc);
+      rc = 1;
+    }
+  }
   return rc;
 }
 
@@ -462,24 +492,12 @@ uint64_t FingerprintTrace(const TraceRecorder& trace) {
 // traffic for the device faults to hit), the re-reads force swap-ins and walk straight into
 // any object the patrol quarantined, and the fleet gives processor retirement real victims.
 CampaignResult RunCampaign(const Options& options) {
-  SystemConfig config;
-  config.processors = options.processors;
+  // Demotion and observers under fire: the campaign replays must stay bit-identical.
+  SystemConfig config = FlagConfig(options);
   config.machine.memory_bytes = 2 * 1024 * 1024;
   config.memory_manager = MemoryManagerKind::kSwapping;
   config.trace = true;
-  config.trace_capacity = options.trace_capacity;
   config.start_patrol_daemon = true;
-  if (options.lifetime_demote) {
-    // Demotion under fire: the campaign replays must stay bit-identical with the demote
-    // machinery (and its auditor) in the loop.
-    config.verify_on_load = true;
-    config.lifetime_demote = true;
-    config.lifetime_audit = true;
-  }
-  // Profiling under fire: attribution and span tracing must leave the replay fingerprint
-  // untouched (CI diffs the profiled campaign's fingerprint against the unprofiled one).
-  config.profile = options.profile;
-  config.span_trace = options.spans_armed();
 
   CampaignResult result;
   result.system = std::make_unique<System>(config);
@@ -1050,10 +1068,6 @@ int main(int argc, char** argv) {
   // Flush + report the observers before the metrics snapshot so the collected bucket
   // totals include the tail intervals.
   int observers = ReportObservers(*system, options);
-  if (observers != 0) {
-    return observers;
-  }
-
   if (!options.metrics.empty()) {
     MetricsRegistry registry(system.get());
     if (!WriteFile(options.metrics, registry.Collect().ToJson())) {
@@ -1061,29 +1075,8 @@ int main(int argc, char** argv) {
     }
     std::fprintf(stderr, "metrics -> %s\n", options.metrics.c_str());
   }
-
-  if (options.race_sanitize) {
-    const analysis::RaceSanitizer* sanitizer = system->kernel().race_sanitizer();
-    const analysis::RaceSanitizerStats& stats = sanitizer->stats();
-    std::fprintf(stderr,
-                 "race sanitizer: %llu accesses checked, %llu messages stamped, "
-                 "%llu joins, %llu race(s)\n",
-                 static_cast<unsigned long long>(stats.accesses_checked),
-                 static_cast<unsigned long long>(stats.messages_stamped),
-                 static_cast<unsigned long long>(stats.joins),
-                 static_cast<unsigned long long>(stats.races_detected));
-    // The canned workloads are race-free by construction; a finding is a real defect (or a
-    // sanitizer bug) and must fail the run so CI catches it.
-    if (!sanitizer->races().empty()) {
-      for (const analysis::RaceRecord& race : sanitizer->races()) {
-        std::fprintf(stderr,
-                     "  race: object %llu process %llu pc %u vs process %llu pc %u\n",
-                     static_cast<unsigned long long>(race.object),
-                     static_cast<unsigned long long>(race.first_process), race.first_pc,
-                     static_cast<unsigned long long>(race.second_process), race.second_pc);
-      }
-      return 1;
-    }
+  if (observers != 0) {
+    return observers;
   }
 
   if (options.lifetime_demote) {
