@@ -5,7 +5,7 @@
 //   - BM_EffectSummary : per-program summary cost vs program size — paid once per
 //     CreateProcess/CreateDomain under verify-on-load (incremental path)
 //   - BM_SystemAnalyze : whole-system wait-for graph + SCC pass vs program count — paid per
-//     Kernel::AnalyzeSystem() call, over pre-built summaries (rings exercise the cycle
+//     ProgramAnalyses::AnalyzeSystem() call, over pre-built summaries (rings exercise the cycle
 //     detector; pipelines the orphan/starvation scans)
 //
 // `items_per_second` is summarized instructions (BM_EffectSummary) or analyzed programs

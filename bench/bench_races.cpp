@@ -145,7 +145,7 @@ void BM_SanitizerRun(benchmark::State& state) {
     BasicMemoryManager memory(&machine);
     Kernel kernel(&machine, &memory);
     IMAX_CHECK(kernel.AddProcessors(2).ok());
-    if (sanitize) kernel.EnableRaceSanitizer();
+    if (sanitize) kernel.machine().observers().EnableRaceSanitizer();
 
     auto shared = memory.CreateObject(memory.global_heap(), SystemType::kGeneric, 64, 0,
                                       rights::kRead | rights::kWrite);
@@ -176,7 +176,7 @@ void BM_SanitizerRun(benchmark::State& state) {
     kernel.Run();
     instructions += kernel.stats().instructions_executed;
     virtual_end = machine.now();
-    races = sanitize ? kernel.race_sanitizer()->stats().races_detected : 0;
+    races = sanitize ? kernel.machine().observers().race_sanitizer()->stats().races_detected : 0;
   }
   state.SetItemsProcessed(static_cast<int64_t>(instructions));
   state.counters["virtual_cycles"] = static_cast<double>(virtual_end);

@@ -79,9 +79,9 @@ struct ProgramEntry {
   ProgramKind kind = ProgramKind::kProcess;
 };
 
-// Incremental store of per-program summaries plus external port topology. The kernel owns
-// one and feeds it as programs register (see Kernel::AnalyzeSystem); tools and tests build
-// standalone instances.
+// Incremental store of per-program summaries plus external port topology. The kernel's
+// ProgramAnalyses (program_analyses.h) owns one and feeds it as programs load; tools and
+// tests build standalone instances.
 class SystemEffectGraph {
  public:
   // Registers (or replaces) the summary for the program in instruction segment `segment`.

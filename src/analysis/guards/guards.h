@@ -121,7 +121,7 @@ class GuardAnalyzer {
  public:
   // Computes the guard summary, deriving the effect summary internally.
   static GuardSummary Analyze(const Program& program, const EffectOptions& options = {});
-  // Shares an already-computed effect summary (the kernel path: RecordEffectSummary computes
+  // Shares an already-computed effect summary (the ProgramAnalyses path: Summarize computes
   // effects once and derives lifetime + interference + guard summaries from it).
   static GuardSummary Analyze(const Program& program, const EffectOptions& options,
                               const EffectSummary& effects);

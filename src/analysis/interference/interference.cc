@@ -165,15 +165,6 @@ InterferenceSummary InterferenceAnalyzer::Analyze(const Program& program,
   return summary;
 }
 
-const char* PairVerdictName(PairVerdict verdict) {
-  switch (verdict) {
-    case PairVerdict::kIndependent: return "independent";
-    case PairVerdict::kInterfering: return "interfering";
-    case PairVerdict::kSuppressed: return "suppressed";
-  }
-  return "?";
-}
-
 const char* CacheGradeName(CacheGrade grade) {
   switch (grade) {
     case CacheGrade::kImmutable: return "immutable";

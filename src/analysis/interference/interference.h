@@ -88,7 +88,7 @@ class InterferenceAnalyzer {
  public:
   // Computes the footprint summary, deriving the effect summary internally.
   static InterferenceSummary Analyze(const Program& program, const EffectOptions& options = {});
-  // Shares an already-computed effect summary (the kernel path: RecordEffectSummary computes
+  // Shares an already-computed effect summary (the ProgramAnalyses path: Summarize computes
   // effects once and derives lifetime + interference summaries from it).
   static InterferenceSummary Analyze(const Program& program, const EffectOptions& options,
                                      const EffectSummary& effects);
@@ -97,7 +97,6 @@ class InterferenceAnalyzer {
 // --- Phase 2: whole-system composition -------------------------------------------------
 
 enum class PairVerdict : uint8_t { kIndependent, kInterfering, kSuppressed };
-const char* PairVerdictName(PairVerdict verdict);
 
 struct InterferenceVerdict {
   std::string first_program;   // name-sorted pair

@@ -1,7 +1,7 @@
 #include "src/exec/kernel.h"
 
 #include "src/analysis/effects.h"
-#include "src/analysis/verifier.h"
+#include "src/analysis/program_analyses.h"
 #include "src/base/check.h"
 #include "src/base/log.h"
 
@@ -13,24 +13,6 @@ constexpr uint16_t kDefaultDispatchCapacity = 1024;
 
 bool ValidReg(uint8_t r) { return r < kNumDataRegs; }
 bool ValidAdReg(uint8_t r) { return r < kNumAdRegs; }
-
-// Abstract value the verifier should assume for an AD handed to a fresh program (the initial
-// argument in a7). Resolving the descriptor turns the loader's concrete knowledge — type,
-// rights, level, sizes — into seeded facts, which makes load-time verification strictly
-// stronger than analyzing the program in a vacuum.
-analysis::AdAbstract AbstractFromAd(ObjectTable& table, const AccessDescriptor& ad) {
-  if (ad.is_null()) {
-    return analysis::AdAbstract::Null();
-  }
-  auto descriptor = table.Resolve(ad);
-  if (!descriptor.ok()) {
-    return analysis::AdAbstract::Unknown();
-  }
-  return analysis::AdAbstract::Object(descriptor.value()->type, ad.rights(),
-                                      analysis::LevelRange::Exact(descriptor.value()->level),
-                                      descriptor.value()->data_length,
-                                      descriptor.value()->access_count());
-}
 
 }  // namespace
 
@@ -46,21 +28,26 @@ Kernel::Kernel(Machine* machine, MemoryManager* memory)
     : machine_(machine),
       memory_(memory),
       ports_(machine, memory),
-      programs_(machine, memory) {
+      programs_(machine, memory),
+      analyses_(std::make_unique<analysis::ProgramAnalyses>(&machine->table(), &programs_,
+                                                            &stats_)) {
   auto port = ports_.CreatePort(memory_->global_heap(), kDefaultDispatchCapacity,
                                 QueueDiscipline::kPriority);
   IMAX_CHECK(port.ok());
   default_dispatch_port_ = port.value();
   // Dispatching traffic is kernel machinery, not program-level IPC: the dispatcher both
   // feeds and drains this port, so it never starves or orphans.
-  effect_graph_.MarkExternalSender(default_dispatch_port_.index());
-  effect_graph_.MarkExternalReceiver(default_dispatch_port_.index());
-  effect_graph_.set_symbols(&symbols_);
+  analyses_->effect_graph().MarkExternalSender(default_dispatch_port_.index());
+  analyses_->effect_graph().MarkExternalReceiver(default_dispatch_port_.index());
   machine_->events().SetHotHandler(&Kernel::RunHotEvent, this);
 
-  // Hot-patching a segment (ProgramStore::Replace) invalidates every summary computed for
-  // the old code.
-  programs_.SetReplaceHook([this](ObjectIndex segment) { ForgetProgramAnalysis(segment); });
+  // A reclaimed or hot-patched segment (ProgramStore::Reclaim / Replace) invalidates every
+  // summary computed for the old code and every translation that may point at it.
+  programs_.SetRetractHook([this](ObjectIndex segment) {
+    analyses_->Forget(segment);
+    for (ProcessorRec& rec : processors_) rec.xlat.Clear();
+    ++stats_.xlat_invalidations;
+  });
 
   RegisterService(os_service::kYield, [](ExecutionContext&) -> Result<NativeResult> {
     NativeResult r;
@@ -119,8 +106,8 @@ Kernel::~Kernel() {
 
 Status Kernel::AddProcessors(int count, const AccessDescriptor& dispatch_port) {
   AccessDescriptor port = dispatch_port.is_null() ? default_dispatch_port_ : dispatch_port;
-  effect_graph_.MarkExternalSender(port.index());
-  effect_graph_.MarkExternalReceiver(port.index());
+  analyses_->effect_graph().MarkExternalSender(port.index());
+  analyses_->effect_graph().MarkExternalReceiver(port.index());
   for (int i = 0; i < count; ++i) {
     IMAX_ASSIGN_OR_RETURN(
         AccessDescriptor object,
@@ -156,46 +143,28 @@ Result<AccessDescriptor> Kernel::CreateProcess(ProgramRef program,
   Level base_level = sro_descriptor->level;
 
   if (verify_on_load_) {
-    analysis::VerifyOptions verify_options;
-    verify_options.entry = analysis::VerifyOptions::EntryKind::kProcessEntry;
     // The initial context executes one level below the process ("contexts live one level
     // below the process"), and the loader knows exactly what lands in a7.
-    verify_options.entry_level = static_cast<uint32_t>(base_level + 1);
-    verify_options.initial_arg = AbstractFromAd(machine_->table(), options.initial_arg);
-    analysis::VerifyResult verdict = analysis::Verifier::Verify(*program, verify_options);
-    ++stats_.programs_verified;
-    if (!verdict.ok()) {
-      ++stats_.programs_rejected;
-      IMAX_LOG_INFO("kernel: verifier rejected process program:\n%s",
-                    analysis::FormatDiagnostics(*program, verdict).c_str());
-      return Fault::kVerificationFailed;
-    }
+    IMAX_RETURN_IF_FAULT(analyses_->Verify(*program, analysis::ProgramKind::kProcess,
+                                           options.initial_arg,
+                                           static_cast<uint32_t>(base_level + 1)));
   }
-
-  ProgramRef loaded = program;  // keep the content for the effect summary below
   IMAX_ASSIGN_OR_RETURN(AccessDescriptor segment, programs_.Register(std::move(program)));
-
-  if (verify_on_load_) {
-    // Incremental whole-system analysis upkeep: summarize the program's IPC effects now,
-    // while the loader's concrete initial argument is in hand (see AnalyzeSystem).
-    RecordEffectSummary(segment.index(), *loaded, options.initial_arg,
-                        analysis::ProgramKind::kProcess);
-  } else {
-    // Defer the summary to the first AnalyzeSystem() call, but keep the concrete initial
-    // argument — it is what makes the program's port uses resolvable at all.
-    deferred_args_[segment.index()] = options.initial_arg;
-  }
+  // The concrete initial argument is what makes the program's port uses resolvable at all.
+  analyses_->Record(segment.index(), analysis::ProgramKind::kProcess, options.initial_arg,
+                    verify_on_load_);
   // The kernel itself feeds fault and scheduler ports (RaiseFault / scheduler
   // notifications), so their receivers are never statically starved.
+  analysis::SystemEffectGraph& graph = analyses_->effect_graph();
   if (!options.fault_port.is_null()) {
-    effect_graph_.MarkExternalSender(options.fault_port.index());
+    graph.MarkExternalSender(options.fault_port.index());
   }
   if (!options.scheduler_port.is_null()) {
-    effect_graph_.MarkExternalSender(options.scheduler_port.index());
+    graph.MarkExternalSender(options.scheduler_port.index());
   }
   if (!options.dispatch_port.is_null()) {
-    effect_graph_.MarkExternalSender(options.dispatch_port.index());
-    effect_graph_.MarkExternalReceiver(options.dispatch_port.index());
+    graph.MarkExternalSender(options.dispatch_port.index());
+    graph.MarkExternalReceiver(options.dispatch_port.index());
   }
 
   // The process object.
@@ -286,27 +255,15 @@ Result<AccessDescriptor> Kernel::CreateContext(ProcessView& proc,
 
 Result<AccessDescriptor> Kernel::CreateDomain(const std::vector<AccessDescriptor>& entries,
                                               uint32_t state_slots) {
-  if (verify_on_load_) {
-    for (const AccessDescriptor& entry_segment : entries) {
-      IMAX_ASSIGN_OR_RETURN(ProgramRef entry_program, programs_.Fetch(entry_segment));
-      analysis::VerifyOptions verify_options;
-      verify_options.entry = analysis::VerifyOptions::EntryKind::kDomainEntry;
-      // Domains are called from arbitrary levels with arbitrary arguments, so nothing else
-      // can be seeded.
-      analysis::VerifyResult verdict = analysis::Verifier::Verify(*entry_program, verify_options);
-      ++stats_.programs_verified;
-      if (!verdict.ok()) {
-        ++stats_.programs_rejected;
-        IMAX_LOG_INFO("kernel: verifier rejected domain entry program:\n%s",
-                      analysis::FormatDiagnostics(*entry_program, verdict).c_str());
-        return Fault::kVerificationFailed;
-      }
-      if (!effect_graph_.HasProgram(entry_segment.index())) {
-        // Domain entries take arbitrary caller arguments: no initial-arg seeding.
-        RecordEffectSummary(entry_segment.index(), *entry_program, AccessDescriptor(),
-                            analysis::ProgramKind::kDomainEntry);
-      }
+  for (const AccessDescriptor& entry_segment : entries) {
+    IMAX_ASSIGN_OR_RETURN(ProgramRef entry_program, programs_.Fetch(entry_segment));
+    if (verify_on_load_) {
+      IMAX_RETURN_IF_FAULT(
+          analyses_->Verify(*entry_program, analysis::ProgramKind::kDomainEntry));
     }
+    // Domain entries take arbitrary caller arguments: no seed.
+    analyses_->Record(entry_segment.index(), analysis::ProgramKind::kDomainEntry, {},
+                      verify_on_load_);
   }
   IMAX_ASSIGN_OR_RETURN(
       AccessDescriptor domain,
@@ -317,11 +274,6 @@ Result<AccessDescriptor> Kernel::CreateDomain(const std::vector<AccessDescriptor
   ObjectView view(&machine_->addressing(), domain);
   view.SetField(DomainLayout::kOffEntryCount, 2, entries.size());
   for (size_t i = 0; i < entries.size(); ++i) {
-    IMAX_ASSIGN_OR_RETURN(const ObjectDescriptor* descriptor,
-                          machine_->table().Resolve(entries[i]));
-    if (descriptor->type != SystemType::kInstructionSegment) {
-      return Fault::kTypeMismatch;
-    }
     view.SetSlot(static_cast<uint32_t>(i), entries[i]);
   }
   // Holders of the returned AD may call the domain but not read or write its contents:
@@ -491,7 +443,7 @@ Status Kernel::PostMessage(const AccessDescriptor& port, const AccessDescriptor&
   if (!port.is_null()) {
     // Traffic injected from outside the simulation: the static analysis must not claim this
     // port's receivers block forever.
-    effect_graph_.MarkExternalSender(port.index());
+    analyses_->effect_graph().MarkExternalSender(port.index());
   }
   auto receiver = ports_.PopBlockedReceiver(port);
   if (receiver.ok()) {
@@ -920,7 +872,7 @@ Result<Kernel::StepEffect> Kernel::Execute(ProcessorRec& rec, ProcessView& proc,
       bool demoted = false;
       if (lifetime_demote_ && !ctx.ad_reg(in.b).is_null()) {
         const ObjectIndex segment = ctx.instruction_segment().index();
-        if (IsDemotableSite(segment, pc)) {
+        if (analyses_->IsDemotable(segment, pc)) {
           Level context_level = machine_->table().At(ctx.ad().index()).level;
           AccessDescriptor demote_sro = DemoteSroFor(ctx, context_level);
           auto local = demote_sro.is_null()
@@ -1449,42 +1401,6 @@ void Kernel::NotifyEvent(const AccessDescriptor& process, ProcessEvent event) {
   }
 }
 
-void Kernel::RecordEffectSummary(ObjectIndex segment, const Program& program,
-                                 const AccessDescriptor& initial_arg,
-                                 analysis::ProgramKind kind) {
-  analysis::EffectOptions options =
-      analysis::EffectOptionsForTable(machine_->table(), initial_arg, &symbols_);
-  analysis::EffectSummary effects = analysis::EffectAnalyzer::Analyze(program, options);
-
-  // The interference summary reuses the effect pass's resolved access list, so it rides
-  // along at negligible extra cost and AnalyzeInterference never re-walks the program.
-  interference_summaries_[segment] =
-      analysis::InterferenceAnalyzer::Analyze(program, options, effects);
-  ++stats_.interference_summaries;
-
-  // The guard-dominance summary shares the same effect pass, so check-elision verdicts
-  // exist the moment the program can run (and AnalyzeGuards never re-walks the program).
-  guard_summaries_[segment] = analysis::GuardAnalyzer::Analyze(program, options, effects);
-  ++stats_.guard_summaries;
-
-  effect_graph_.AddProgram(segment, std::move(effects), kind);
-  ++stats_.effect_summaries;
-
-  // The lifetime summary rides along so demotion verdicts exist the moment the program can
-  // run (and AnalyzeLifetimes never recomputes).
-  analysis::LifetimeSummary lifetime = analysis::LifetimeAnalyzer::Analyze(program, options);
-  std::set<uint32_t> demotable;
-  for (uint32_t pc : analysis::DemotableSites(lifetime)) demotable.insert(pc);
-  demotable_sites_[segment] = std::move(demotable);
-  lifetime_summaries_[segment] = std::move(lifetime);
-  ++stats_.lifetime_summaries;
-}
-
-bool Kernel::IsDemotableSite(ObjectIndex segment, uint32_t pc) const {
-  auto it = demotable_sites_.find(segment);
-  return it != demotable_sites_.end() && it->second.count(pc) != 0;
-}
-
 AccessDescriptor Kernel::DemoteSroFor(ContextView& ctx, Level context_level) {
   AccessDescriptor existing = ctx.Slot(ContextLayout::kSlotDemoteSro);
   if (!existing.is_null()) return existing;
@@ -1512,47 +1428,6 @@ uint32_t Kernel::ReclaimDemoteSro(uint16_t cpu, ProcessView& proc, ContextView& 
   return reclaimed.value();
 }
 
-void Kernel::EnsureSummaries() {
-  // Programs loaded while verify_on_load was off have no summary yet; compute them now,
-  // seeding each from the initial argument remembered at CreateProcess time. A program with
-  // no recorded argument (registered directly with the store) starts from "any object" —
-  // strictly weaker than the incremental path, never wrong.
-  programs_.ForEach([this](ObjectIndex segment, const Program& program) {
-    if (!effect_graph_.HasProgram(segment)) {
-      auto deferred = deferred_args_.find(segment);
-      RecordEffectSummary(
-          segment, program,
-          deferred != deferred_args_.end() ? deferred->second : AccessDescriptor(),
-          analysis::ProgramKind::kProcess);
-    }
-  });
-}
-
-analysis::SystemAnalysisReport Kernel::AnalyzeSystem() {
-  EnsureSummaries();
-  return effect_graph_.Analyze();
-}
-
-analysis::RaceAnalysisReport Kernel::AnalyzeRaces() {
-  EnsureSummaries();
-  return analysis::AnalyzeRaces(effect_graph_);
-}
-
-analysis::LifetimeAnalysisReport Kernel::AnalyzeLifetimes() {
-  EnsureSummaries();
-  return analysis::AnalyzeLifetimes(effect_graph_, lifetime_summaries_);
-}
-
-analysis::InterferenceAnalysisReport Kernel::AnalyzeInterference() {
-  EnsureSummaries();
-  return analysis::AnalyzeInterference(effect_graph_, interference_summaries_);
-}
-
-analysis::GuardAnalysisReport Kernel::AnalyzeGuards() {
-  EnsureSummaries();
-  return analysis::AnalyzeGuards(effect_graph_, guard_summaries_, interference_summaries_);
-}
-
 XlatCacheStats Kernel::xlat_stats() const {
   XlatCacheStats total;
   for (const ProcessorRec& rec : processors_) {
@@ -1563,11 +1438,6 @@ XlatCacheStats Kernel::xlat_stats() const {
     total.program_misses += s.program_misses;
   }
   return total;
-}
-
-void Kernel::InvalidateTranslationCaches() {
-  for (ProcessorRec& rec : processors_) rec.xlat.Clear();
-  ++stats_.xlat_invalidations;
 }
 
 Cycles Kernel::TotalBusyCycles() const {

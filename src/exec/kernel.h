@@ -18,20 +18,11 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
-#include "src/analysis/deadlock.h"
-#include "src/analysis/guards/guards.h"
-#include "src/analysis/interference/interference.h"
-#include "src/analysis/lifetime/auditor.h"
-#include "src/analysis/lifetime/lifetime.h"
-#include "src/analysis/races/races.h"
-#include "src/analysis/races/sanitizer.h"
 #include "src/arch/xlat_cache.h"
 #include "src/exec/execution_context.h"
 #include "src/ipc/port_subsystem.h"
-#include "src/isa/disassembler.h"
 #include "src/isa/assembler.h"
 #include "src/isa/program.h"
 #include "src/isa/program_store.h"
@@ -40,6 +31,10 @@
 #include "src/sim/machine.h"
 
 namespace imax432 {
+
+namespace analysis {
+class ProgramAnalyses;  // analysis/program_analyses.h
+}  // namespace analysis
 
 // Events reported to the registered process-event handler (the basic process manager).
 enum class ProcessEvent : uint8_t {
@@ -210,92 +205,12 @@ class Kernel {
   int processor_count() const { return static_cast<int>(processors_.size()); }
   AccessDescriptor processor_object(int index) const { return processors_[index].object; }
 
-  // --- Whole-system IPC analysis (src/analysis/deadlock.h) ---
-
-  // Runs the static deadlock/orphan/starvation analysis over every registered program plus
-  // the kernel's concrete port topology. Under verify_on_load the per-program summaries are
-  // maintained incrementally as programs register; otherwise (or for programs loaded while
-  // verification was off) missing summaries are computed here on demand.
-  analysis::SystemAnalysisReport AnalyzeSystem();
-
-  // Runs the static data-race analysis (src/analysis/races/races.h) over the same
-  // incrementally-maintained summaries, completing any missing ones first exactly like
-  // AnalyzeSystem.
-  analysis::RaceAnalysisReport AnalyzeRaces();
-
-  // Runs the whole-system object-lifetime analysis (src/analysis/lifetime/lifetime.h) over
-  // the same incrementally-maintained summaries, completing any missing ones first exactly
-  // like AnalyzeSystem.
-  analysis::LifetimeAnalysisReport AnalyzeLifetimes();
-
-  // Runs the whole-system interference/immutability analysis
-  // (src/analysis/interference/interference.h) over the same incrementally-maintained
-  // summaries, completing any missing ones first exactly like AnalyzeSystem. Pairwise
-  // independence verdicts are the lookahead oracle for parallel execution; the certificates
-  // are static verdicts only (imax_lint --interference), consumed by no kernel path.
-  analysis::InterferenceAnalysisReport AnalyzeInterference();
-
-  // The incrementally-maintained summary store. Tests and tools may mark additional
-  // external senders/receivers before calling AnalyzeSystem().
-  analysis::SystemEffectGraph& effect_graph() { return effect_graph_; }
-
-  // Per-segment lifetime summaries, maintained alongside the effect graph.
-  const std::map<ObjectIndex, analysis::LifetimeSummary>& lifetime_summaries() const {
-    return lifetime_summaries_;
-  }
-
-  // Per-segment interference summaries, maintained alongside the effect graph.
-  const std::map<ObjectIndex, analysis::InterferenceSummary>& interference_summaries() const {
-    return interference_summaries_;
-  }
-
-  // Runs the whole-system guard-dominance analysis (src/analysis/guards/guards.h) over the
-  // same incrementally-maintained summaries, completing any missing ones first exactly like
-  // AnalyzeSystem. The certificates are static verdicts only (imax_lint --guards), consumed
-  // by no kernel path.
-  analysis::GuardAnalysisReport AnalyzeGuards();
-
-  // Per-segment guard summaries, maintained alongside the effect graph.
-  const std::map<ObjectIndex, analysis::GuardSummary>& guard_summaries() const {
-    return guard_summaries_;
-  }
-
-  // Drops all analysis state for a reclaimed instruction segment (summary + any deferred
-  // initial-argument fact + its diagnostic name + lifetime summary and demotable-site set +
-  // interference and guard summaries). Called by the GC reclaim observer and by
-  // ProgramStore::Replace; both drop the segment's code, so the translation caches are
-  // cleared too and no entry keeps a pointer to the dropped program.
-  void ForgetProgramAnalysis(ObjectIndex segment) {
-    effect_graph_.RemoveProgram(segment);
-    deferred_args_.erase(segment);
-    symbols_.Forget(segment);
-    lifetime_summaries_.erase(segment);
-    demotable_sites_.erase(segment);
-    interference_summaries_.erase(segment);
-    guard_summaries_.erase(segment);
-    InvalidateTranslationCaches();
-  }
-
-  // Turns on the dynamic race sanitizer (analysis/races/sanitizer.h), an observer on the
-  // machine's event stream. Pure observer: no virtual-time effect; findings surface as
-  // kRaceDetected trace events and via races().
-  void EnableRaceSanitizer() { machine_->observers().EnableRaceSanitizer(); }
-  analysis::RaceSanitizer* race_sanitizer() { return machine_->observers().race_sanitizer(); }
-
-  // Turns on the dynamic lifetime auditor (analysis/lifetime/auditor.h): every demoted
-  // object is checked to be unreferenced from outside its population at scope exit. Pure
-  // observer; findings surface as kLifetimeViolation trace events and via violations().
-  void EnableLifetimeAuditor() { machine_->observers().EnableLifetimeAuditor(); }
-  analysis::LifetimeAuditor* lifetime_auditor() {
-    return machine_->observers().lifetime_auditor();
-  }
+  // The static-analysis store (analysis/program_analyses.h): one record per loaded segment,
+  // the whole-system analyses, and the symbol table their diagnostics name objects from.
+  analysis::ProgramAnalyses& analyses() { return *analyses_; }
 
   // Aggregate hit/miss counters over every processor's translation cache.
   XlatCacheStats xlat_stats() const;
-
-  // Object names used by analysis diagnostics and annotated disassembly. Name ports before
-  // the programs using them load: summaries render their disassembly at registration time.
-  SymbolTable& symbols() { return symbols_; }
 
   // Sum of busy cycles over all processors (for utilization metrics).
   Cycles TotalBusyCycles() const;
@@ -370,22 +285,6 @@ class Kernel {
 
   void NotifyEvent(const AccessDescriptor& process, ProcessEvent event);
 
-  // Computes summaries for any program registered while verify-on-load was off (shared by
-  // AnalyzeSystem and AnalyzeRaces).
-  void EnsureSummaries();
-
-  // Clears every processor's translation cache (ForgetProgramAnalysis).
-  void InvalidateTranslationCaches();
-
-  // Computes and stores the IPC effect summary for a freshly-registered program, seeding
-  // resolution from the loader's concrete knowledge of the initial argument. Also computes
-  // the program's lifetime summary and demotable-site set (lifetime/lifetime.h).
-  void RecordEffectSummary(ObjectIndex segment, const Program& program,
-                           const AccessDescriptor& initial_arg, analysis::ProgramKind kind);
-
-  // True when the create_object at (segment, pc) was proven context-local.
-  bool IsDemotableSite(ObjectIndex segment, uint32_t pc) const;
-
   // The context's demote SRO, lazily created from the global heap at context level + 1
   // (null AD when creation failed; callers fall back to the named SRO).
   AccessDescriptor DemoteSroFor(ContextView& ctx, Level context_level);
@@ -438,17 +337,9 @@ class Kernel {
   AccessDescriptor default_dispatch_port_;
   KernelStats stats_;
   bool verify_on_load_ = false;
-  analysis::SystemEffectGraph effect_graph_;
-  // Initial argument per instruction segment for processes loaded with verify-on-load off;
-  // consumed by AnalyzeSystem's deferred summarization.
-  std::map<ObjectIndex, AccessDescriptor> deferred_args_;
-  SymbolTable symbols_;
+  std::unique_ptr<analysis::ProgramAnalyses> analyses_;
   bool lifetime_demote_ = false;
   uint32_t demote_sro_bytes_ = 16 * 1024;
-  std::map<ObjectIndex, analysis::LifetimeSummary> lifetime_summaries_;
-  std::map<ObjectIndex, std::set<uint32_t>> demotable_sites_;  // segment -> demotable pcs
-  std::map<ObjectIndex, analysis::InterferenceSummary> interference_summaries_;
-  std::map<ObjectIndex, analysis::GuardSummary> guard_summaries_;
 };
 
 // Well-known OsCall service ids.

@@ -6,6 +6,7 @@
 #include "src/base/xorshift.h"
 #include "src/isa/assembler.h"
 #include "src/memory/swapping_memory_manager.h"
+#include "src/obs/trace.h"
 #include "src/os/fault_service.h"
 #include "src/os/system.h"
 
@@ -25,22 +26,6 @@ void SentinelData(uint8_t* out) {
   for (uint32_t i = 0; i < kSentinelBytes; ++i) {
     out[i] = static_cast<uint8_t>(0x43 + i * 7);
   }
-}
-
-uint64_t FingerprintTrace(const std::vector<TraceEvent>& events) {
-  uint64_t hash = 1469598103934665603ull;
-  auto mix = [&hash](uint64_t value) {
-    hash ^= value;
-    hash *= 1099511628211ull;
-  };
-  for (const TraceEvent& event : events) {
-    mix(event.ts);
-    mix(event.process);
-    mix((static_cast<uint64_t>(event.a) << 32) | event.b);
-    mix((static_cast<uint64_t>(event.c) << 16) | event.cpu);
-    mix(static_cast<uint64_t>(event.kind));
-  }
-  return hash;
 }
 
 // One epoch of the partitioned crash schedule. Times are epoch-relative: each incarnation
@@ -399,7 +384,7 @@ CrashCampaignReport RunCrashCampaign(const CrashCampaignConfig& config) {
 
     // --- Harvest before teardown ---
     epoch.end = system.now();
-    epoch.trace_fingerprint = FingerprintTrace(system.machine().trace().Snapshot());
+    epoch.trace_fingerprint = TraceFingerprint(system.machine().trace().Snapshot());
     epoch.store_digest = system.filing().StateDigest();
     epoch.mutations_applied = driver.prefix_digests.size() - 1;
     epoch.panics = system.kernel().stats().panics;

@@ -192,11 +192,6 @@ bool PortSubsystem::HasBlockedReceiver(const AccessDescriptor& port_ad) const {
   return shadow.ok() && !shadow.value()->blocked_receivers.empty();
 }
 
-bool PortSubsystem::HasBlockedSender(const AccessDescriptor& port_ad) const {
-  auto shadow = ResolveShadow(port_ad);
-  return shadow.ok() && !shadow.value()->blocked_senders.empty();
-}
-
 void PortSubsystem::PushWaitingProcessor(const AccessDescriptor& port_ad,
                                          uint16_t processor_id) {
   auto shadow = ResolveShadow(port_ad);
@@ -230,11 +225,6 @@ Status PortSubsystem::RemoveWaitingProcessor(const AccessDescriptor& port_ad,
 Result<uint16_t> PortSubsystem::QueuedCount(const AccessDescriptor& port_ad) const {
   IMAX_ASSIGN_OR_RETURN(const PortShadow* shadow, ResolveShadow(port_ad));
   return static_cast<uint16_t>(shadow->queue.size());
-}
-
-Result<uint16_t> PortSubsystem::Capacity(const AccessDescriptor& port_ad) const {
-  IMAX_ASSIGN_OR_RETURN(const PortShadow* shadow, ResolveShadow(port_ad));
-  return static_cast<uint16_t>(shadow->queue.size() + shadow->free_slots.size());
 }
 
 void PortSubsystem::AppendShadowRoots(std::vector<AccessDescriptor>* roots) const {

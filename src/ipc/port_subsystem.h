@@ -95,7 +95,6 @@ class PortSubsystem {
   Status RemoveBlockedReceiver(const AccessDescriptor& port_ad,
                                const AccessDescriptor& process);
   bool HasBlockedReceiver(const AccessDescriptor& port_ad) const;
-  bool HasBlockedSender(const AccessDescriptor& port_ad) const;
 
   // Idle-processor queue (dispatching ports only).
   void PushWaitingProcessor(const AccessDescriptor& port_ad, uint16_t processor_id);
@@ -105,7 +104,6 @@ class PortSubsystem {
 
   // Queue inspection.
   Result<uint16_t> QueuedCount(const AccessDescriptor& port_ad) const;
-  Result<uint16_t> Capacity(const AccessDescriptor& port_ad) const;
 
   // GC support: every AD held only in shadow state (blocked senders' processes and messages,
   // blocked receivers' processes) is a root.

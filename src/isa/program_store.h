@@ -103,20 +103,32 @@ class ProgramStore {
     it->second = std::move(program);
     ++version_;
     ++descriptor->data_epoch;
-    // Static analysis summarized the OLD code: let the owner retract it (the kernel wires
-    // this to ForgetProgramAnalysis).
-    if (replace_hook_) replace_hook_(ad.index());
+    // Static analysis summarized the OLD code: let the owner retract it.
+    Retract(ad.index());
     return Status::Ok();
   }
 
-  // Called after every successful Replace with the segment's object index.
-  void SetReplaceHook(std::function<void(ObjectIndex)> hook) {
-    replace_hook_ = std::move(hook);
+  // The owner's retract hook (the kernel's: it forgets the segment's analysis record and
+  // clears the translation caches). Replace and Reclaim fire it; Register and Forget do not.
+  void SetRetractHook(std::function<void(ObjectIndex)> hook) {
+    retract_hook_ = std::move(hook);
   }
 
-  // Drops the program content of a reclaimed instruction segment (called by the GC).
+  // Fires the retract hook for `index`: everything derived from the segment's code goes,
+  // the code itself stays.
+  void Retract(ObjectIndex index) {
+    if (retract_hook_) retract_hook_(index);
+  }
+
+  // Drops the program content of an instruction segment.
   void Forget(ObjectIndex index) {
     if (programs_.erase(index) != 0) ++version_;
+  }
+
+  // The GC's reclaim path: drops the content, then retracts what was derived from it.
+  void Reclaim(ObjectIndex index) {
+    Forget(index);
+    Retract(index);
   }
 
   // Raw pointer lookup: no Resolve, no shared_ptr traffic. The pointer stays valid until
@@ -145,7 +157,7 @@ class ProgramStore {
   MemoryManager* memory_;
   std::map<ObjectIndex, ProgramRef> programs_;
   uint64_t version_ = 0;
-  std::function<void(ObjectIndex)> replace_hook_;
+  std::function<void(ObjectIndex)> retract_hook_;
 };
 
 }  // namespace imax432

@@ -251,11 +251,6 @@ Status BasicMemoryManager::ReclaimGarbage(ObjectIndex index) {
   return DestroyByIndex(index, /*forget_in_origin=*/true);
 }
 
-const Sro* BasicMemoryManager::FindSro(ObjectIndex index) const {
-  auto it = sros_.find(index);
-  return it == sros_.end() ? nullptr : it->second.get();
-}
-
 void BasicMemoryManager::SyncSroCounters(const Sro& sro) {
   ObjectDescriptor& descriptor = machine_->table().At(sro.self());
   if (!descriptor.allocated || descriptor.swapped_out) {

@@ -36,9 +36,6 @@ class BasicMemoryManager : public MemoryManager {
   MemoryStats stats() const override { return stats_; }
   Status ReclaimGarbage(ObjectIndex index) override;
 
-  // Testing/diagnostic access to SRO allocation state.
-  const Sro* FindSro(ObjectIndex index) const;
-
  protected:
   // Allocates physical space from `sro`; the swapping subclass overrides this to evict on
   // exhaustion. `bytes` is the total architectural claim of the new object.

@@ -5,8 +5,6 @@
 #include "src/exec/kernel.h"
 #include "src/filing/object_store.h"
 #include "src/gc/collector.h"
-#include "src/io/device.h"
-#include "src/os/fault_service.h"
 #include "src/os/process_manager.h"
 #include "src/os/schedulers.h"
 #include "src/os/system.h"
@@ -97,21 +95,6 @@ CounterMap CountersFor(const FilingStats& stats) {
           {"recovered_images", stats.recovered_images},
           {"recovered_composites", stats.recovered_composites},
           {"retrieve_cleanups", stats.retrieve_cleanups}};
-}
-
-CounterMap CountersFor(const DeviceStats& stats) {
-  return {{"requests", stats.requests},
-          {"bytes_read", stats.bytes_read},
-          {"bytes_written", stats.bytes_written},
-          {"errors", stats.errors}};
-}
-
-CounterMap CountersFor(const FaultServiceStats& stats) {
-  return {{"received", stats.received},
-          {"retried", stats.retried},
-          {"terminated", stats.terminated},
-          {"escalated", stats.escalated},
-          {"budget_exhausted", stats.budget_exhausted}};
 }
 
 CounterMap CountersFor(const PatrolStats& stats) {

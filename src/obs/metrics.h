@@ -4,8 +4,8 @@
 // The registry federates them behind named provider callbacks so a tool, test, or monitor
 // takes one snapshot — counters plus the machine's cycle-latency histograms — and serializes
 // it to JSON without knowing the package zoo. The System-constructor overload registers
-// everything the assembled system exposes; packages used à la carte (schedulers, filing,
-// devices, fault service) are added by the caller through the same CountersFor overloads.
+// everything the assembled system exposes; packages used à la carte (schedulers) are added
+// by the caller through the same CountersFor overloads.
 
 #ifndef IMAX432_SRC_OBS_METRICS_H_
 #define IMAX432_SRC_OBS_METRICS_H_
@@ -28,8 +28,6 @@ struct SchedulerStats;
 struct ProcessManagerStats;
 struct FilingStats;
 struct JournalStats;
-struct DeviceStats;
-struct FaultServiceStats;
 struct PatrolStats;
 struct XlatCacheStats;
 class System;
@@ -48,8 +46,6 @@ CounterMap CountersFor(const SchedulerStats& stats);
 CounterMap CountersFor(const ProcessManagerStats& stats);
 CounterMap CountersFor(const FilingStats& stats);
 CounterMap CountersFor(const JournalStats& stats);
-CounterMap CountersFor(const DeviceStats& stats);
-CounterMap CountersFor(const FaultServiceStats& stats);
 CounterMap CountersFor(const PatrolStats& stats);
 CounterMap CountersFor(const XlatCacheStats& stats);
 

@@ -24,8 +24,8 @@ namespace imax432 {
 
 class SpanTracer;
 
-// Exports the recorder's current contents. `symbols` (usually Kernel::symbols()) names
-// ports, domains, and processes on the timeline; pass nullptr for bare indices.
+// Exports the recorder's current contents. `symbols` (usually ProgramAnalyses::symbols())
+// names ports, domains, and processes on the timeline; pass nullptr for bare indices.
 std::string ExportChromeTrace(const TraceRecorder& trace, const SymbolTable* symbols = nullptr);
 
 // Exports the span tracer's request trees (call SpanTracer::FlushOpen first): one thread

@@ -43,6 +43,22 @@ const char* TraceEventKindName(TraceEventKind kind) {
   return "unknown";
 }
 
+uint64_t TraceFingerprint(const std::vector<TraceEvent>& events) {
+  uint64_t hash = 1469598103934665603ull;
+  auto mix = [&hash](uint64_t word) {
+    hash ^= word;
+    hash *= 1099511628211ull;
+  };
+  for (const TraceEvent& event : events) {
+    mix(event.ts);
+    mix(event.process);
+    mix((static_cast<uint64_t>(event.a) << 32) | event.b);
+    mix((static_cast<uint64_t>(event.c) << 16) | event.cpu);
+    mix(static_cast<uint64_t>(event.kind));
+  }
+  return hash;
+}
+
 const char* FilingOpKindName(FilingOpKind kind) {
   switch (kind) {
     case FilingOpKind::kFile: return "file";

@@ -128,6 +128,12 @@ struct TraceEvent {
 
 static_assert(sizeof(TraceEvent) <= 32, "TraceEvent must stay small and POD");
 
+// Word-wise FNV-1a over every event's (ts, process, a:b, c:cpu, kind): the replay
+// fingerprint of fault and power-cut campaigns. imax_trace's --inject fingerprint hashes
+// the same words byte-wise, and the cache corpus tests hash each payload field separately;
+// their pinned values differ from this one, so they keep their own copies.
+uint64_t TraceFingerprint(const std::vector<TraceEvent>& events);
+
 class TraceRecorder {
  public:
   TraceRecorder() = default;

@@ -1,7 +1,6 @@
 #include "src/os/fault_service.h"
 
 #include "src/base/log.h"
-#include "src/obs/metrics.h"
 
 namespace imax432 {
 
@@ -23,10 +22,6 @@ uint32_t FaultService::BudgetFor(Fault fault) const {
   }
   auto it = policy_.retry_budgets.find(fault);
   return it != policy_.retry_budgets.end() ? it->second : policy_.retry_budget;
-}
-
-void FaultService::RegisterMetrics(MetricsRegistry* registry, const char* group) {
-  registry->Add(group, [this] { return CountersFor(stats_); });
 }
 
 Result<AccessDescriptor> FaultService::Spawn(const AccessDescriptor& escalation_port) {

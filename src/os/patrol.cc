@@ -132,7 +132,7 @@ PatrolStats ObjectPatrol::SweepNow() {
   return stats_;
 }
 
-Result<AccessDescriptor> ObjectPatrol::SpawnDaemon(uint32_t units_per_step, uint8_t priority) {
+Result<AccessDescriptor> ObjectPatrol::SpawnDaemon(uint8_t priority) {
   IMAX_ASSIGN_OR_RETURN(AccessDescriptor request_port,
                         kernel_->ports().CreatePort(kernel_->memory().global_heap(), 16,
                                                     QueueDiscipline::kFifo));
@@ -158,9 +158,9 @@ Result<AccessDescriptor> ObjectPatrol::SpawnDaemon(uint32_t units_per_step, uint
   // One bounded batch of descriptor checks per native instruction; time-slice end
   // interleaves the patrol with mutators exactly like the GC daemon.
   uint32_t step_pc = a.here();
-  a.Native([this, units_per_step, step_pc](ExecutionContext&) -> Result<NativeResult> {
+  a.Native([this, step_pc](ExecutionContext&) -> Result<NativeResult> {
     uint64_t units_before = work_units_;
-    bool more = Step(units_per_step);
+    bool more = Step(kUnitsPerStep);
     uint64_t scanned = work_units_ - units_before;
     NativeResult r;
     r.compute = scanned * cycles::kGcScanSlot / 2;

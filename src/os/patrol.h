@@ -65,11 +65,14 @@ class ObjectPatrol {
   bool Step(uint32_t units);
   bool sweep_in_progress() const { return sweeping_; }
 
+  // Descriptors the daemon examines per native instruction.
+  static constexpr uint32_t kUnitsPerStep = 256;
+
   // Builds the patrol daemon: a process looping { block on the request port; one full sweep
-  // in bounded increments; reply if the request carried a port }. Same shape as
+  // in increments of kUnitsPerStep; reply if the request carried a port }. Same shape as
   // GarbageCollector::SpawnDaemon; every message posted to the returned port triggers one
   // sweep.
-  Result<AccessDescriptor> SpawnDaemon(uint32_t units_per_step = 256, uint8_t priority = 16);
+  Result<AccessDescriptor> SpawnDaemon(uint8_t priority = 16);
 
   // Drops shadow CRC state for a reclaimed object (System's reclaim observer).
   void Forget(ObjectIndex index) { shadow_.erase(index); }

@@ -34,12 +34,12 @@ System::System(const SystemConfig& config)
   kernel_ = std::make_unique<Kernel>(&machine_, memory_.get());
   kernel_->set_verify_on_load(config.verify_on_load);
   if (config.race_sanitize) {
-    kernel_->EnableRaceSanitizer();
+    machine_.observers().EnableRaceSanitizer();
   }
   kernel_->set_lifetime_demote(config.lifetime_demote);
   kernel_->set_demote_sro_bytes(config.demote_sro_bytes);
   if (config.lifetime_audit) {
-    kernel_->EnableLifetimeAuditor();
+    machine_.observers().EnableLifetimeAuditor();
   }
   gc_ = std::make_unique<GarbageCollector>(kernel_.get());
   patrol_ = std::make_unique<ObjectPatrol>(kernel_.get());
@@ -66,10 +66,9 @@ System::System(const SystemConfig& config)
     if (descriptor.type == SystemType::kPort) {
       kernel_->ports().Forget(index);
     } else if (descriptor.type == SystemType::kInstructionSegment) {
-      kernel_->programs().Forget(index);
-      // Keep the whole-system IPC analysis in step: a reclaimed segment's summary must not
-      // keep feeding the wait-for graph.
-      kernel_->ForgetProgramAnalysis(index);
+      // Its analysis record goes too: a reclaimed segment's summary must not keep feeding
+      // the wait-for graph.
+      kernel_->programs().Reclaim(index);
     }
     // Drop the patrol's CRC baseline: the index may be reused (the generation key would
     // catch it anyway, but the entry is dead weight).
@@ -97,7 +96,7 @@ System::System(const SystemConfig& config)
   }
 
   if (config.start_patrol_daemon) {
-    auto request_port = patrol_->SpawnDaemon(config.patrol_units_per_step);
+    auto request_port = patrol_->SpawnDaemon();
     IMAX_CHECK(request_port.ok());
     patrol_request_port_ = request_port.value();
   }

@@ -57,7 +57,7 @@ struct SystemConfig {
   uint32_t trace_capacity = TraceRecorder::kDefaultCapacity;
   // Run the dynamic data-race sanitizer (src/analysis/races/sanitizer.h): vector clocks
   // over port transfers, checked at every data / access-part touch. Findings surface as
-  // kRaceDetected trace events and via kernel().race_sanitizer()->races().
+  // kRaceDetected trace events and via machine().observers().race_sanitizer()->races().
   bool race_sanitize = false;
   // Start the object-table patrol daemon (src/os/patrol.h): a low-priority process that
   // validates descriptor checksums, level invariants and data-part CRCs, quarantining
@@ -65,7 +65,6 @@ struct SystemConfig {
   // patrol().SweepNow(). Off by default — the patrol only earns its cycles when faults are
   // being injected (or real corruption is suspected).
   bool start_patrol_daemon = false;
-  uint32_t patrol_units_per_step = 256;
   // GC-load demotion (src/analysis/lifetime): allocations the static lifetime analysis
   // proves context-local are taken from a per-context demote SRO, marked gc_exempt (the
   // collector never traces or sweeps them), and bulk-destroyed at context exit. Requires

@@ -1,9 +1,10 @@
-// Kernel::AnalyzeSystem and the incremental IPC effect summaries the kernel keeps as
-// programs register (src/analysis/effects.h + deadlock.h wired through exec/kernel.cc).
+// ProgramAnalyses::AnalyzeSystem and the IPC effect summaries kept for every program the
+// kernel loads (src/analysis/program_analyses.h over effects.h + deadlock.h).
 
 #include <gtest/gtest.h>
 
 #include "src/analysis/deadlock.h"
+#include "src/analysis/program_analyses.h"
 #include "src/exec/kernel.h"
 #include "src/memory/basic_memory_manager.h"
 #include "src/sim/machine.h"
@@ -27,7 +28,7 @@ class AnalyzeSystemTest : public ::testing::Test {
   AccessDescriptor MakePort(const char* name) {
     auto port = kernel_.ports().CreatePort(memory_.global_heap(), 4, QueueDiscipline::kFifo);
     EXPECT_TRUE(port.ok());
-    kernel_.symbols().Name(port.value().index(), name);
+    kernel_.analyses().symbols().Name(port.value().index(), name);
     return port.value();
   }
 
@@ -39,6 +40,19 @@ class AnalyzeSystemTest : public ::testing::Test {
     auto process = kernel_.CreateProcess(a.Build(), options);
     EXPECT_TRUE(process.ok()) << FaultName(process.fault());
     return process.ok() ? process.value() : AccessDescriptor();
+  }
+
+  // A domain entry that sends through its caller's argument, beside a lone receiver. Nothing
+  // calls the domain, so the entry's send can feed no port.
+  analysis::SystemAnalysisReport AnalyzeDomainEntryBesideLoneReceiver() {
+    Assembler entry("relay_entry");
+    entry.Send(kArgAdReg, kArgAdReg).ClearAd(kArgAdReg).Return();
+    auto segment = kernel_.programs().Register(entry.Build());
+    EXPECT_TRUE(segment.ok());
+    auto domain = kernel_.CreateDomain({segment.value()});
+    EXPECT_TRUE(domain.ok()) << FaultName(domain.fault());
+    SpawnReceiver(MakePort("inbox"));
+    return kernel_.analyses().AnalyzeSystem();
   }
 
   Machine machine_;
@@ -53,9 +67,9 @@ TEST_F(AnalyzeSystemTest, VerifyOnLoadRecordsSummariesIncrementally) {
   a.Halt();
   ASSERT_TRUE(kernel_.CreateProcess(a.Build(), {}).ok());
   EXPECT_EQ(kernel_.stats().effect_summaries, 1u);
-  EXPECT_EQ(kernel_.effect_graph().program_count(), 1u);
+  EXPECT_EQ(kernel_.analyses().effect_graph().program_count(), 1u);
   // AnalyzeSystem finds the summary already on file and does not recompute it.
-  (void)kernel_.AnalyzeSystem();
+  (void)kernel_.analyses().AnalyzeSystem();
   EXPECT_EQ(kernel_.stats().effect_summaries, 1u);
 }
 
@@ -63,8 +77,8 @@ TEST_F(AnalyzeSystemTest, AnalyzeSystemLazilySummarizesUnverifiedPrograms) {
   Assembler a("trivial");
   a.Halt();
   ASSERT_TRUE(kernel_.CreateProcess(a.Build(), {}).ok());
-  EXPECT_EQ(kernel_.effect_graph().program_count(), 0u);  // verify-on-load is off
-  analysis::SystemAnalysisReport report = kernel_.AnalyzeSystem();
+  EXPECT_EQ(kernel_.analyses().effect_graph().program_count(), 0u);  // verify-on-load is off
+  analysis::SystemAnalysisReport report = kernel_.analyses().AnalyzeSystem();
   EXPECT_EQ(kernel_.stats().effect_summaries, 1u);
   EXPECT_GE(report.programs_analyzed, 1u);
 }
@@ -72,7 +86,7 @@ TEST_F(AnalyzeSystemTest, AnalyzeSystemLazilySummarizesUnverifiedPrograms) {
 TEST_F(AnalyzeSystemTest, LoneReceiverIsReportedStarved) {
   AccessDescriptor port = MakePort("inbox");
   SpawnReceiver(port);
-  analysis::SystemAnalysisReport report = kernel_.AnalyzeSystem();
+  analysis::SystemAnalysisReport report = kernel_.analyses().AnalyzeSystem();
   ASSERT_EQ(report.diagnostics.size(), 1u) << analysis::FormatReport(report);
   EXPECT_EQ(report.diagnostics[0].rule, analysis::SystemRule::kStarvedPort);
   // The symbol table name reaches the diagnostic text.
@@ -83,13 +97,13 @@ TEST_F(AnalyzeSystemTest, LoneReceiverIsReportedStarved) {
 TEST_F(AnalyzeSystemTest, PostMessageMarksThePortExternallyFed) {
   AccessDescriptor port = MakePort("inbox");
   SpawnReceiver(port);
-  ASSERT_FALSE(kernel_.AnalyzeSystem().ok());
+  ASSERT_FALSE(kernel_.analyses().AnalyzeSystem().ok());
   // Outside traffic (a device, a test harness) exists: the starvation claim must retract.
   auto message = memory_.CreateObject(memory_.global_heap(), SystemType::kGeneric, 16, 0,
                                       rights::kRead | rights::kWrite);
   ASSERT_TRUE(message.ok());
   ASSERT_TRUE(kernel_.PostMessage(port, message.value()).ok());
-  EXPECT_TRUE(kernel_.AnalyzeSystem().ok());
+  EXPECT_TRUE(kernel_.analyses().AnalyzeSystem().ok());
 }
 
 TEST_F(AnalyzeSystemTest, FaultPortIsAKernelSideSender) {
@@ -102,7 +116,7 @@ TEST_F(AnalyzeSystemTest, FaultPortIsAKernelSideSender) {
   ProcessOptions options;
   options.fault_port = port;
   ASSERT_TRUE(kernel_.CreateProcess(a.Build(), options).ok());
-  EXPECT_TRUE(kernel_.AnalyzeSystem().ok());
+  EXPECT_TRUE(kernel_.analyses().AnalyzeSystem().ok());
 }
 
 TEST_F(AnalyzeSystemTest, SchedulerPortIsAKernelSideSender) {
@@ -113,7 +127,25 @@ TEST_F(AnalyzeSystemTest, SchedulerPortIsAKernelSideSender) {
   ProcessOptions options;
   options.scheduler_port = port;
   ASSERT_TRUE(kernel_.CreateProcess(a.Build(), options).ok());
-  EXPECT_TRUE(kernel_.AnalyzeSystem().ok());
+  EXPECT_TRUE(kernel_.analyses().AnalyzeSystem().ok());
+}
+
+// A domain entry contributes only through its callers, whether it was summarized at load or
+// on the first analysis. Taken for a process, its unresolved send would count as a possible
+// sender to every port and hide the starved one.
+TEST_F(AnalyzeSystemTest, DomainEntryIsNoSenderWithVerifyOnLoad) {
+  kernel_.set_verify_on_load(true);
+  analysis::SystemAnalysisReport report = AnalyzeDomainEntryBesideLoneReceiver();
+  ASSERT_EQ(report.diagnostics.size(), 1u) << analysis::FormatReport(report);
+  EXPECT_EQ(report.diagnostics[0].rule, analysis::SystemRule::kStarvedPort);
+  EXPECT_EQ(report.unresolved_send_programs, 0u);
+}
+
+TEST_F(AnalyzeSystemTest, DomainEntryIsNoSenderWithoutVerifyOnLoad) {
+  analysis::SystemAnalysisReport report = AnalyzeDomainEntryBesideLoneReceiver();
+  ASSERT_EQ(report.diagnostics.size(), 1u) << analysis::FormatReport(report);
+  EXPECT_EQ(report.diagnostics[0].rule, analysis::SystemRule::kStarvedPort);
+  EXPECT_EQ(report.unresolved_send_programs, 0u);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "src/analysis/guards/guards.h"
+#include "src/analysis/program_analyses.h"
 #include "src/arch/xlat_cache.h"
 #include "src/exec/kernel.h"
 #include "src/isa/assembler.h"
@@ -122,9 +123,9 @@ TEST(DecodeKernelTest, GuardSummariesRideAlongWithEffectSummaries) {
   RunAllocWorkload(system, 10);
   EXPECT_EQ(system.kernel().stats().guard_summaries,
             system.kernel().stats().effect_summaries);
-  ASSERT_EQ(system.kernel().guard_summaries().size(), 1u);
-  const analysis::GuardSummary& summary =
-      system.kernel().guard_summaries().begin()->second;
+  ASSERT_EQ(system.kernel().analyses().guard_summaries().size(), 1u);
+  const analysis::GuardSummary summary =
+      system.kernel().analyses().guard_summaries().begin()->second;
   EXPECT_FALSE(summary.opaque);
   EXPECT_GT(summary.counters.checks_elidable, 0u);
 }
@@ -132,7 +133,7 @@ TEST(DecodeKernelTest, GuardSummariesRideAlongWithEffectSummaries) {
 TEST(DecodeKernelTest, AnalyzeGuardsCertifiesTheFreshLoopSites) {
   System system(CacheConfig());
   RunAllocWorkload(system, 10);
-  analysis::GuardAnalysisReport report = system.kernel().AnalyzeGuards();
+  analysis::GuardAnalysisReport report = system.kernel().analyses().AnalyzeGuards();
   EXPECT_EQ(report.programs_analyzed, 1u);
   EXPECT_GT(report.checks_certified, 0u);
   EXPECT_EQ(report.checks_certified, report.certified_fresh);
@@ -142,12 +143,12 @@ TEST(DecodeKernelTest, AnalyzeGuardsCertifiesTheFreshLoopSites) {
 TEST(DecodeKernelTest, ForgetProgramAnalysisDropsGuardSummariesAndClears) {
   System system(CacheConfig());
   RunAllocWorkload(system, 100);
-  ASSERT_FALSE(system.kernel().guard_summaries().empty());
-  ObjectIndex segment = system.kernel().guard_summaries().begin()->first;
+  ASSERT_FALSE(system.kernel().analyses().guard_summaries().empty());
+  ObjectIndex segment = system.kernel().analyses().guard_summaries().begin()->first;
   uint64_t invalidations = system.kernel().stats().xlat_invalidations;
-  system.kernel().ForgetProgramAnalysis(segment);
+  system.kernel().programs().Retract(segment);
   EXPECT_GT(system.kernel().stats().xlat_invalidations, invalidations);
-  EXPECT_EQ(system.kernel().guard_summaries().count(segment), 0u);
+  EXPECT_EQ(system.kernel().analyses().guard_summaries().count(segment), 0u);
 }
 
 // The fetch payload and the translation entries share one structure: both tiers serve the

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/analysis/lifetime/auditor.h"
+#include "src/analysis/program_analyses.h"
 #include "src/exec/kernel.h"
 #include "src/memory/basic_memory_manager.h"
 #include "src/sim/machine.h"
@@ -26,7 +28,7 @@ class LifetimeDemotionTest : public ::testing::Test {
     EXPECT_TRUE(kernel_.AddProcessors(1).ok());
     kernel_.set_verify_on_load(true);
     kernel_.set_lifetime_demote(true);
-    kernel_.EnableLifetimeAuditor();
+    kernel_.machine().observers().EnableLifetimeAuditor();
   }
 
   // Carrier the programs receive as a7: slot 0 = the allocation SRO, slot 1 = a port.
@@ -160,15 +162,15 @@ TEST_F(LifetimeDemotionTest, ForgetProgramAnalysisDropsLifetimeSummaries) {
   Assembler a("forgettable");
   a.MoveAd(1, kArgAdReg).LoadAd(2, 1, 0).CreateObject(4, 2, 16).Halt();
   Spawn(a.Build(), MakeCarrier());
-  ASSERT_EQ(kernel_.lifetime_summaries().size(), 1u);
-  const ObjectIndex segment = kernel_.lifetime_summaries().begin()->first;
-  ASSERT_TRUE(kernel_.effect_graph().HasProgram(segment));
+  ASSERT_EQ(kernel_.analyses().lifetime_summaries().size(), 1u);
+  const ObjectIndex segment = kernel_.analyses().lifetime_summaries().begin()->first;
+  ASSERT_TRUE(kernel_.analyses().effect_graph().HasProgram(segment));
 
-  kernel_.ForgetProgramAnalysis(segment);
-  EXPECT_FALSE(kernel_.effect_graph().HasProgram(segment));
-  EXPECT_TRUE(kernel_.lifetime_summaries().empty());
+  kernel_.programs().Retract(segment);
+  EXPECT_FALSE(kernel_.analyses().effect_graph().HasProgram(segment));
+  EXPECT_TRUE(kernel_.analyses().lifetime_summaries().empty());
   // AnalyzeLifetimes recomputes from the program store rather than consulting stale state.
-  analysis::LifetimeAnalysisReport report = kernel_.AnalyzeLifetimes();
+  analysis::LifetimeAnalysisReport report = kernel_.analyses().AnalyzeLifetimes();
   EXPECT_EQ(report.programs_analyzed, 1u);
 }
 
@@ -205,7 +207,7 @@ TEST_F(LifetimeDemotionTest, AuditorCatchesASeededEscape) {
   EXPECT_EQ(kernel_.process_view(process).state(), ProcessState::kTerminated);
 
   ASSERT_EQ(kernel_.stats().lifetime_violations, 1u);
-  const auto& violations = kernel_.lifetime_auditor()->violations();
+  const auto& violations = kernel_.machine().observers().lifetime_auditor()->violations();
   ASSERT_EQ(violations.size(), 1u);
   EXPECT_EQ(violations[0].object, demoted);
   EXPECT_EQ(violations[0].holder, container.value().index());
@@ -232,7 +234,7 @@ TEST_F(LifetimeDemotionTest, AuditorIsAPureObserver) {
     EXPECT_TRUE(kernel.AddProcessors(1).ok());
     kernel.set_verify_on_load(true);
     kernel.set_lifetime_demote(true);
-    if (audit) kernel.EnableLifetimeAuditor();
+    if (audit) kernel.machine().observers().EnableLifetimeAuditor();
 
     auto carrier =
         memory.CreateObject(memory.global_heap(), SystemType::kGeneric, 8, 1, rights::kAll);

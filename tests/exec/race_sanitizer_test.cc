@@ -222,28 +222,28 @@ Assembler RacyWriter(const std::string& name, uint64_t value) {
 // Runs the canonical racy pair and reports the final virtual time and instruction count.
 Cycles RunRacyPair(bool sanitize, uint64_t* instructions, uint64_t* races) {
   Rig rig;
-  if (sanitize) rig.kernel.EnableRaceSanitizer();
+  if (sanitize) rig.kernel.machine().observers().EnableRaceSanitizer();
   AccessDescriptor shared = rig.MakeObject();
   AccessDescriptor carrier = rig.MakeCarrier(shared, AccessDescriptor());
   rig.Spawn(RacyWriter("racy.w0", 1), carrier);
   rig.Spawn(RacyWriter("racy.w1", 2), carrier);
   rig.kernel.Run();
   *instructions = rig.kernel.stats().instructions_executed;
-  *races = sanitize ? rig.kernel.race_sanitizer()->stats().races_detected : 0;
+  *races = sanitize ? rig.kernel.machine().observers().race_sanitizer()->stats().races_detected : 0;
   return rig.machine.now();
 }
 
 TEST(RaceSanitizerKernelTest, RacyPairIsDetectedAtRunTime) {
   Rig rig;
   rig.machine.trace().Enable();
-  rig.kernel.EnableRaceSanitizer();
+  rig.kernel.machine().observers().EnableRaceSanitizer();
   AccessDescriptor shared = rig.MakeObject();
   AccessDescriptor carrier = rig.MakeCarrier(shared, AccessDescriptor());
   AccessDescriptor w0 = rig.Spawn(RacyWriter("racy.w0", 1), carrier);
   AccessDescriptor w1 = rig.Spawn(RacyWriter("racy.w1", 2), carrier);
   rig.kernel.Run();
 
-  RaceSanitizer* san = rig.kernel.race_sanitizer();
+  RaceSanitizer* san = rig.kernel.machine().observers().race_sanitizer();
   ASSERT_NE(san, nullptr);
   ASSERT_FALSE(san->races().empty());
   const RaceRecord& race = san->races().front();
@@ -267,7 +267,7 @@ TEST(RaceSanitizerKernelTest, RacyPairIsDetectedAtRunTime) {
 
 TEST(RaceSanitizerKernelTest, PortSynchronizedPairIsClean) {
   Rig rig;
-  rig.kernel.EnableRaceSanitizer();
+  rig.kernel.machine().observers().EnableRaceSanitizer();
   AccessDescriptor shared = rig.MakeObject();
   AccessDescriptor port = rig.MakePort();
   AccessDescriptor carrier = rig.MakeCarrier(shared, port);
@@ -291,7 +291,7 @@ TEST(RaceSanitizerKernelTest, PortSynchronizedPairIsClean) {
   rig.Spawn(reader, carrier);
   rig.kernel.Run();
 
-  RaceSanitizer* san = rig.kernel.race_sanitizer();
+  RaceSanitizer* san = rig.kernel.machine().observers().race_sanitizer();
   ASSERT_NE(san, nullptr);
   EXPECT_TRUE(san->races().empty()) << san->races().size() << " race(s)";
   EXPECT_GT(san->stats().accesses_checked, 0u);
@@ -311,20 +311,20 @@ TEST(RaceSanitizerKernelTest, SanitizerKeepsVirtualTimeBitIdentical) {
 
 TEST(RaceSanitizerKernelTest, TerminatedProcessIndexReuseDoesNotFalsePositive) {
   Rig rig;
-  rig.kernel.EnableRaceSanitizer();
+  rig.kernel.machine().observers().EnableRaceSanitizer();
   AccessDescriptor shared = rig.MakeObject();
   AccessDescriptor carrier = rig.MakeCarrier(shared, AccessDescriptor());
 
   // First writer runs to completion alone.
   rig.Spawn(RacyWriter("gen.one", 1), carrier);
   rig.kernel.Run();
-  EXPECT_TRUE(rig.kernel.race_sanitizer()->races().empty());
+  EXPECT_TRUE(rig.kernel.machine().observers().race_sanitizer()->races().empty());
 
   // A second generation touching the same object starts only after the first terminated,
   // so whatever process index it lands on, nothing may be reported.
   rig.Spawn(RacyWriter("gen.two", 2), carrier);
   rig.kernel.Run();
-  EXPECT_TRUE(rig.kernel.race_sanitizer()->races().empty());
+  EXPECT_TRUE(rig.kernel.machine().observers().race_sanitizer()->races().empty());
 }
 
 // Object indices are reused LIFO, so an object B allocates can land on the index of one
@@ -335,7 +335,7 @@ TEST(RaceSanitizerKernelTest, TerminatedProcessIndexReuseDoesNotFalsePositive) {
 uint64_t RunIndexReusePair(bool owned_heap) {
   Rig rig;
   EXPECT_TRUE(rig.kernel.AddProcessors(1).ok());  // A and B run side by side
-  rig.kernel.EnableRaceSanitizer();
+  rig.kernel.machine().observers().EnableRaceSanitizer();
   const AccessDescriptor heap = rig.memory.global_heap();
 
   Assembler a("reuse.a");
@@ -378,7 +378,7 @@ uint64_t RunIndexReusePair(bool owned_heap) {
   rig.Spawn(b, heap);
   rig.kernel.Run();
   EXPECT_EQ(rig.kernel.stats().processes_terminated, 2u);
-  return rig.kernel.race_sanitizer()->stats().races_detected;
+  return rig.kernel.machine().observers().race_sanitizer()->stats().races_detected;
 }
 
 TEST(RaceSanitizerKernelTest, DestroySroMemberIndexReuseDoesNotFalsePositive) {

@@ -3,6 +3,7 @@
 // enforced), the program-fetch tier, and invalidation when a segment's code is dropped.
 // xlat_differential_test.cc checks the cached paths against an uncached reference.
 
+#include "src/analysis/program_analyses.h"
 #include "src/arch/xlat_cache.h"
 
 #include <gtest/gtest.h>
@@ -267,12 +268,12 @@ TEST(XlatKernelTest, VirtualTimeAndResultsAreBitIdenticalOffAndOn) {
 TEST(XlatKernelTest, ForgetProgramAnalysisClearsTheCaches) {
   System system(CacheConfig());
   RunCounterWorkload(system, 100);
-  ASSERT_FALSE(system.kernel().interference_summaries().empty());
-  ObjectIndex segment = system.kernel().interference_summaries().begin()->first;
+  ASSERT_FALSE(system.kernel().analyses().interference_summaries().empty());
+  ObjectIndex segment = system.kernel().analyses().interference_summaries().begin()->first;
   uint64_t invalidations = system.kernel().stats().xlat_invalidations;
-  system.kernel().ForgetProgramAnalysis(segment);
+  system.kernel().programs().Retract(segment);
   EXPECT_GT(system.kernel().stats().xlat_invalidations, invalidations);
-  EXPECT_EQ(system.kernel().interference_summaries().count(segment), 0u);
+  EXPECT_EQ(system.kernel().analyses().interference_summaries().count(segment), 0u);
 }
 
 TEST(XlatKernelTest, InterferenceSummariesRideAlongWithEffectSummaries) {
@@ -280,9 +281,9 @@ TEST(XlatKernelTest, InterferenceSummariesRideAlongWithEffectSummaries) {
   RunCounterWorkload(system, 10);
   EXPECT_EQ(system.kernel().stats().interference_summaries,
             system.kernel().stats().effect_summaries);
-  ASSERT_EQ(system.kernel().interference_summaries().size(), 1u);
-  const analysis::InterferenceSummary& summary =
-      system.kernel().interference_summaries().begin()->second;
+  ASSERT_EQ(system.kernel().analyses().interference_summaries().size(), 1u);
+  const analysis::InterferenceSummary summary =
+      system.kernel().analyses().interference_summaries().begin()->second;
   EXPECT_FALSE(summary.opaque);
   EXPECT_EQ(summary.region_count, 1u);  // the counter loop never synchronizes
 }

@@ -1,13 +1,14 @@
 // Ground truth for the static deadlock detector: a real 3-process receive ring is both
-// flagged by Kernel::AnalyzeSystem() *and* actually deadlocks when run — every process ends
-// blocked at its port with the simulation idle. The clean counterpart (same topology, but a
-// message primed into the ring) is neither flagged nor stuck.
+// flagged by ProgramAnalyses::AnalyzeSystem() *and* actually deadlocks when run — every
+// process ends blocked at its port with the simulation idle. The clean counterpart (same
+// topology, but a message primed into the ring) is neither flagged nor stuck.
 
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "src/analysis/deadlock.h"
+#include "src/analysis/program_analyses.h"
 #include "src/exec/kernel.h"
 #include "src/memory/basic_memory_manager.h"
 #include "src/sim/machine.h"
@@ -31,7 +32,7 @@ class DeadlockCycleTest : public ::testing::Test {
   AccessDescriptor MakePort(const std::string& name) {
     auto port = kernel_.ports().CreatePort(memory_.global_heap(), 4, QueueDiscipline::kFifo);
     EXPECT_TRUE(port.ok());
-    kernel_.symbols().Name(port.value().index(), name);
+    kernel_.analyses().symbols().Name(port.value().index(), name);
     return port.value();
   }
 
@@ -74,7 +75,7 @@ TEST_F(DeadlockCycleTest, StaticDetectorFlagsTheRingAndTheRingReallyDeadlocks) {
   for (int i = 0; i < 3; ++i) procs[i] = SpawnRingMember(i, ports[i], ports[(i + 1) % 3]);
 
   // Static verdict first, before a single instruction executes.
-  analysis::SystemAnalysisReport report = kernel_.AnalyzeSystem();
+  analysis::SystemAnalysisReport report = kernel_.analyses().AnalyzeSystem();
   ASSERT_EQ(report.diagnostics.size(), 1u) << analysis::FormatReport(report);
   const analysis::SystemDiagnostic& diagnostic = report.diagnostics[0];
   EXPECT_EQ(diagnostic.rule, analysis::SystemRule::kDeadlockCycle);
@@ -102,7 +103,7 @@ TEST_F(DeadlockCycleTest, PrimedRingIsCleanAndRunsToCompletion) {
   ASSERT_TRUE(token.ok());
   ASSERT_TRUE(kernel_.PostMessage(ports[0], token.value()).ok());
 
-  analysis::SystemAnalysisReport report = kernel_.AnalyzeSystem();
+  analysis::SystemAnalysisReport report = kernel_.analyses().AnalyzeSystem();
   EXPECT_TRUE(report.ok()) << analysis::FormatReport(report);
 
   kernel_.Run();

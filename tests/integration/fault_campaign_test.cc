@@ -6,28 +6,13 @@
 #include <gtest/gtest.h>
 
 #include "src/memory/swapping_memory_manager.h"
+#include "src/obs/trace.h"
 #include "src/os/fault_service.h"
 #include "src/os/system.h"
 #include "src/sim/fault_injector.h"
 
 namespace imax432 {
 namespace {
-
-uint64_t FingerprintTrace(const std::vector<TraceEvent>& events) {
-  uint64_t hash = 1469598103934665603ull;
-  auto mix = [&hash](uint64_t value) {
-    hash ^= value;
-    hash *= 1099511628211ull;
-  };
-  for (const TraceEvent& event : events) {
-    mix(event.ts);
-    mix(event.process);
-    mix((static_cast<uint64_t>(event.a) << 32) | event.b);
-    mix((static_cast<uint64_t>(event.c) << 16) | event.cpu);
-    mix(static_cast<uint64_t>(event.kind));
-  }
-  return hash;
-}
 
 struct CampaignOutcome {
   Cycles end = 0;
@@ -102,7 +87,7 @@ CampaignOutcome RunCampaign(uint64_t seed, uint32_t count, Cycles horizon) {
 
   CampaignOutcome outcome;
   outcome.end = system.now();
-  outcome.fingerprint = FingerprintTrace(system.machine().trace().Snapshot());
+  outcome.fingerprint = TraceFingerprint(system.machine().trace().Snapshot());
   outcome.panics = system.kernel().stats().panics;
   outcome.injections = injector.stats().fired;
   outcome.faults_delivered = system.kernel().stats().faults_delivered;

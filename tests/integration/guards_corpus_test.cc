@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/analysis/guards/guards.h"
+#include "src/analysis/program_analyses.h"
 #include "src/arch/rights.h"
 #include "src/exec/kernel.h"
 #include "src/isa/assembler.h"
@@ -42,7 +43,7 @@ AccessDescriptor MakeShared(System& system, const std::string& name,
                                              SystemType::kGeneric, 64, 0,
                                              rights::kRead | rights::kWrite);
   EXPECT_TRUE(object.ok());
-  system.kernel().symbols().Name(object.value().index(), name);
+  system.kernel().analyses().symbols().Name(object.value().index(), name);
   EXPECT_TRUE(
       system.machine().addressing().WriteData(object.value(), 0, 8, initial_value).ok());
   return object.value();
@@ -123,7 +124,7 @@ TEST(GuardsCorpusTest, WriterFreeSharedObjectCertifiesNonFresh) {
   Spawn(system, reader, shared);
 
   // Static claim first: the dominated load certifies without being fresh.
-  analysis::GuardAnalysisReport report = system.kernel().AnalyzeGuards();
+  analysis::GuardAnalysisReport report = system.kernel().analyses().AnalyzeGuards();
   EXPECT_GT(report.checks_certified, 0u);
   EXPECT_EQ(report.certified_fresh, 0u);
   EXPECT_EQ(report.suppressed_interference, 0u);
@@ -136,7 +137,7 @@ TEST(GuardsCorpusTest, WriterEnteringTheSystemRetractsTheCertificate) {
   Assembler reader = DominatedReadLoop("guards.reader", 50);
   Spawn(system, reader, shared);
 
-  analysis::GuardAnalysisReport before = system.kernel().AnalyzeGuards();
+  analysis::GuardAnalysisReport before = system.kernel().analyses().AnalyzeGuards();
   ASSERT_GT(before.checks_certified, 0u);
 
   // The writer's summary lands at spawn; the recomputed certificate set suppresses the
@@ -144,7 +145,7 @@ TEST(GuardsCorpusTest, WriterEnteringTheSystemRetractsTheCertificate) {
   Assembler writer = WriteOnce("guards.writer", 9);
   Spawn(system, writer, shared);
 
-  analysis::GuardAnalysisReport after = system.kernel().AnalyzeGuards();
+  analysis::GuardAnalysisReport after = system.kernel().analyses().AnalyzeGuards();
   EXPECT_EQ(after.checks_certified, 0u);
   EXPECT_GT(after.suppressed_interference, 0u);
   system.Run();
@@ -156,12 +157,12 @@ TEST(GuardsCorpusTest, ReplaceRetractsAnalysisThroughTheStoreHook) {
   Spawn(system, a, system.memory().global_heap());
   system.RunUntil(20000);  // mid-loop: the segment's fetch entry is live
 
-  ASSERT_FALSE(system.kernel().guard_summaries().empty());
-  ObjectIndex segment = system.kernel().guard_summaries().begin()->first;
+  ASSERT_FALSE(system.kernel().analyses().guard_summaries().empty());
+  ObjectIndex segment = system.kernel().analyses().guard_summaries().begin()->first;
   uint64_t invalidations = system.kernel().stats().xlat_invalidations;
 
   // Hot-patch the segment with identical code: content is equal, but the store must still
-  // bump both staleness keys and retract the old analysis through the replace hook.
+  // bump both staleness keys and retract the old analysis through the retract hook.
   AccessDescriptor segment_ad(segment, system.machine().table().At(segment).generation,
                               rights::kRead);
   Assembler patched = AllocLoop("guards.patch", 400);
@@ -171,7 +172,7 @@ TEST(GuardsCorpusTest, ReplaceRetractsAnalysisThroughTheStoreHook) {
   EXPECT_GT(system.kernel().programs().version(), version);
   EXPECT_GT(system.machine().table().At(segment).data_epoch, epoch);
   EXPECT_GT(system.kernel().stats().xlat_invalidations, invalidations);
-  EXPECT_EQ(system.kernel().guard_summaries().count(segment), 0u);
+  EXPECT_EQ(system.kernel().analyses().guard_summaries().count(segment), 0u);
 
   // The patched code runs to completion.
   system.Run();

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/analysis/interference/interference.h"
+#include "src/analysis/program_analyses.h"
 #include "src/arch/rights.h"
 #include "src/exec/kernel.h"
 #include "src/isa/assembler.h"
@@ -58,7 +59,7 @@ AccessDescriptor MakeShared(System& system, const std::string& name,
                                              SystemType::kGeneric, 64, 0,
                                              rights::kRead | rights::kWrite);
   EXPECT_TRUE(object.ok());
-  system.kernel().symbols().Name(object.value().index(), name);
+  system.kernel().analyses().symbols().Name(object.value().index(), name);
   EXPECT_TRUE(
       system.machine().addressing().WriteData(object.value(), 0, 8, initial_value).ok());
   return object.value();
@@ -103,7 +104,7 @@ TEST(InterferenceCorpusTest, DisjointFootprintPairIsIndependentAndRunsClean) {
   Spawn(system, a, left);
   Spawn(system, b, right);
 
-  analysis::InterferenceAnalysisReport report = system.kernel().AnalyzeInterference();
+  analysis::InterferenceAnalysisReport report = system.kernel().analyses().AnalyzeInterference();
   EXPECT_TRUE(report.ok()) << analysis::FormatInterferenceReport(report);
   EXPECT_EQ(report.pairs_independent, 1u);
   EXPECT_EQ(report.pairs_interfering, 0u);
@@ -121,7 +122,7 @@ TEST(InterferenceCorpusTest, SharedWritePairIsReportedWithNamedWitness) {
   Spawn(system, w0, shared);
   Spawn(system, w1, shared);
 
-  analysis::InterferenceAnalysisReport report = system.kernel().AnalyzeInterference();
+  analysis::InterferenceAnalysisReport report = system.kernel().analyses().AnalyzeInterference();
   EXPECT_FALSE(report.ok());
   ASSERT_EQ(report.pairs_interfering, 1u);
   bool found = false;
@@ -142,14 +143,14 @@ TEST(InterferenceCorpusTest, MutationAfterCertificationRetractsTheCertificate) {
   Assembler reader = ReadLoop("corpus.reader", 50);
   Spawn(system, reader, shared);
 
-  analysis::InterferenceAnalysisReport before = system.kernel().AnalyzeInterference();
+  analysis::InterferenceAnalysisReport before = system.kernel().analyses().AnalyzeInterference();
   ASSERT_EQ(before.certified_immutable, 1u);
 
   // A writer entering the system retracts immutability.
   Assembler writer = WriteOnce("corpus.writer", 9);
   Spawn(system, writer, shared);
 
-  analysis::InterferenceAnalysisReport after = system.kernel().AnalyzeInterference();
+  analysis::InterferenceAnalysisReport after = system.kernel().analyses().AnalyzeInterference();
   const analysis::CacheCertificate* cert = nullptr;
   for (const analysis::CacheCertificate& c : after.certificates) {
     if (c.object == shared.index() && c.part == analysis::ObjectPart::kData) cert = &c;
@@ -165,7 +166,7 @@ TEST(InterferenceCorpusTest, BootedSystemAnalyzesCleanWithTheDaemonRunning) {
   config.processors = 2;
   System system(config);  // GC daemon on: an opaque resident program in the mix
 
-  analysis::InterferenceAnalysisReport report = system.kernel().AnalyzeInterference();
+  analysis::InterferenceAnalysisReport report = system.kernel().analyses().AnalyzeInterference();
   EXPECT_TRUE(report.ok()) << analysis::FormatInterferenceReport(report);
 
   system.RunUntil(200000);

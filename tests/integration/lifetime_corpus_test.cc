@@ -8,6 +8,7 @@
 
 #include <functional>
 
+#include "src/analysis/program_analyses.h"
 #include "src/os/system.h"
 
 namespace imax432 {
@@ -204,7 +205,7 @@ TEST_F(LifetimeCorpusTest, BootedSystemLifetimeReportIsClean) {
   auto process = system.Spawn(EscapeByStore(), options);
   ASSERT_TRUE(process.ok());
   system.Run();
-  analysis::LifetimeAnalysisReport report = system.kernel().AnalyzeLifetimes();
+  analysis::LifetimeAnalysisReport report = system.kernel().analyses().AnalyzeLifetimes();
   EXPECT_TRUE(report.ok()) << analysis::FormatLifetimeReport(report);
   EXPECT_GE(report.opaque_programs, 1u);
   EXPECT_GE(report.leaks_suppressed, 1u);

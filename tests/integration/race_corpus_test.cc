@@ -1,12 +1,13 @@
 // Ground truth for the static race detector: a pair the static pass reports really does
 // race when run under the dynamic sanitizer, and a pair it proves ordered really is silent.
-// Also covers the analysis-state lifecycle (ForgetProgramAnalysis drops the summary, the
-// deferred initial argument, and the diagnostic name) and the SystemConfig wiring.
+// Also covers the analysis-state lifecycle (the ProgramStore retract hook drops the summary,
+// the recorded initial argument, and the diagnostic name) and the SystemConfig wiring.
 
 #include <gtest/gtest.h>
 
 #include <string>
 
+#include "src/analysis/program_analyses.h"
 #include "src/analysis/races/races.h"
 #include "src/analysis/races/sanitizer.h"
 #include "src/exec/kernel.h"
@@ -28,21 +29,21 @@ class RaceCorpusTest : public ::testing::Test {
  protected:
   RaceCorpusTest() : machine_(SmallConfig()), memory_(&machine_), kernel_(&machine_, &memory_) {
     EXPECT_TRUE(kernel_.AddProcessors(1).ok());
-    kernel_.EnableRaceSanitizer();
+    kernel_.machine().observers().EnableRaceSanitizer();
   }
 
   AccessDescriptor MakeObject(const std::string& name, uint32_t access_slots = 0) {
     auto object = memory_.CreateObject(memory_.global_heap(), SystemType::kGeneric, 64,
                                        access_slots, rights::kRead | rights::kWrite);
     EXPECT_TRUE(object.ok());
-    kernel_.symbols().Name(object.value().index(), name);
+    kernel_.analyses().symbols().Name(object.value().index(), name);
     return object.value();
   }
 
   AccessDescriptor MakePort(const std::string& name) {
     auto port = kernel_.ports().CreatePort(memory_.global_heap(), 4, QueueDiscipline::kFifo);
     EXPECT_TRUE(port.ok());
-    kernel_.symbols().Name(port.value().index(), name);
+    kernel_.analyses().symbols().Name(port.value().index(), name);
     return port.value();
   }
 
@@ -82,7 +83,7 @@ TEST_F(RaceCorpusTest, StaticReportIsConfirmedByTheSanitizer) {
 
   // Static verdict before a single instruction executes: one write-write diagnostic on the
   // shared counter, named in the rendered message.
-  analysis::RaceAnalysisReport report = kernel_.AnalyzeRaces();
+  analysis::RaceAnalysisReport report = kernel_.analyses().AnalyzeRaces();
   ASSERT_EQ(report.diagnostics.size(), 1u) << analysis::FormatRaceReport(report);
   EXPECT_EQ(report.diagnostics[0].object, shared.index());
   EXPECT_EQ(report.diagnostics[0].part, analysis::ObjectPart::kData);
@@ -91,8 +92,8 @@ TEST_F(RaceCorpusTest, StaticReportIsConfirmedByTheSanitizer) {
 
   // Dynamic ground truth: running the pair trips the sanitizer on the same object.
   kernel_.Run();
-  ASSERT_FALSE(kernel_.race_sanitizer()->races().empty());
-  EXPECT_EQ(kernel_.race_sanitizer()->races().front().object, shared.index());
+  ASSERT_FALSE(kernel_.machine().observers().race_sanitizer()->races().empty());
+  EXPECT_EQ(kernel_.machine().observers().race_sanitizer()->races().front().object, shared.index());
 }
 
 TEST_F(RaceCorpusTest, StaticOrderedPairStaysSilentDynamically) {
@@ -117,12 +118,12 @@ TEST_F(RaceCorpusTest, StaticOrderedPairStaysSilentDynamically) {
   Spawn(writer, carrier);
   Spawn(reader, carrier);
 
-  analysis::RaceAnalysisReport report = kernel_.AnalyzeRaces();
+  analysis::RaceAnalysisReport report = kernel_.analyses().AnalyzeRaces();
   EXPECT_TRUE(report.ok()) << analysis::FormatRaceReport(report);
   EXPECT_GE(report.pairs_ordered, 1u);
 
   kernel_.Run();
-  EXPECT_TRUE(kernel_.race_sanitizer()->races().empty());
+  EXPECT_TRUE(kernel_.machine().observers().race_sanitizer()->races().empty());
 }
 
 TEST_F(RaceCorpusTest, ForgetProgramAnalysisClearsSummaryNameAndDeferredArgument) {
@@ -135,24 +136,25 @@ TEST_F(RaceCorpusTest, ForgetProgramAnalysisClearsSummaryNameAndDeferredArgument
 
   // The first analysis computes the deferred summary; the concrete carrier argument makes
   // the send resolve to the named port.
-  kernel_.AnalyzeRaces();
-  ASSERT_EQ(kernel_.effect_graph().programs().size(), 1u);
-  const ObjectIndex segment = kernel_.effect_graph().programs().begin()->first;
-  EXPECT_TRUE(kernel_.effect_graph().programs().begin()->second.summary.SendsTo(port.index()));
-  kernel_.symbols().Name(segment, "forget.segment");
-  ASSERT_NE(kernel_.symbols().Find(segment), nullptr);
+  kernel_.analyses().AnalyzeRaces();
+  ASSERT_EQ(kernel_.analyses().effect_graph().programs().size(), 1u);
+  const ObjectIndex segment = kernel_.analyses().effect_graph().programs().begin()->first;
+  EXPECT_TRUE(
+      kernel_.analyses().effect_graph().programs().begin()->second.summary.SendsTo(port.index()));
+  kernel_.analyses().symbols().Name(segment, "forget.segment");
+  ASSERT_NE(kernel_.analyses().symbols().Find(segment), nullptr);
 
-  kernel_.ForgetProgramAnalysis(segment);
-  EXPECT_FALSE(kernel_.effect_graph().HasProgram(segment));
-  EXPECT_EQ(kernel_.symbols().Find(segment), nullptr);
+  kernel_.programs().Retract(segment);
+  EXPECT_FALSE(kernel_.analyses().effect_graph().HasProgram(segment));
+  EXPECT_EQ(kernel_.analyses().symbols().Find(segment), nullptr);
 
   // The program itself is still registered, so re-analysis recomputes a summary — but the
   // deferred initial-argument fact is gone too, so the send no longer resolves. A stale
   // cached argument here would quietly resurrect the old resolution.
-  kernel_.AnalyzeRaces();
-  ASSERT_TRUE(kernel_.effect_graph().HasProgram(segment));
+  kernel_.analyses().AnalyzeRaces();
+  ASSERT_TRUE(kernel_.analyses().effect_graph().HasProgram(segment));
   const analysis::EffectSummary& recomputed =
-      kernel_.effect_graph().programs().at(segment).summary;
+      kernel_.analyses().effect_graph().programs().at(segment).summary;
   EXPECT_FALSE(recomputed.SendsTo(port.index()));
   EXPECT_TRUE(recomputed.has_unresolved_send);
 }
@@ -162,11 +164,11 @@ TEST(RaceCorpusSystemTest, SystemConfigWiresTheSanitizer) {
   config.machine = SmallConfig();
   config.processors = 1;
   config.start_gc_daemon = false;
-  ASSERT_EQ(System(config).kernel().race_sanitizer(), nullptr);
+  ASSERT_EQ(System(config).kernel().machine().observers().race_sanitizer(), nullptr);
 
   config.race_sanitize = true;
   System system(config);
-  ASSERT_NE(system.kernel().race_sanitizer(), nullptr);
+  ASSERT_NE(system.kernel().machine().observers().race_sanitizer(), nullptr);
 
   auto shared = system.memory().CreateObject(system.memory().global_heap(),
                                              SystemType::kGeneric, 64, 0,
@@ -186,7 +188,7 @@ TEST(RaceCorpusSystemTest, SystemConfigWiresTheSanitizer) {
     ASSERT_TRUE(system.Spawn(a.Build(), options).ok());
   }
   system.Run();
-  EXPECT_FALSE(system.kernel().race_sanitizer()->races().empty());
+  EXPECT_FALSE(system.kernel().machine().observers().race_sanitizer()->races().empty());
 }
 
 TEST(RaceCorpusSystemTest, BootedSystemIsCleanStaticallyAndDynamically) {
@@ -196,11 +198,11 @@ TEST(RaceCorpusSystemTest, BootedSystemIsCleanStaticallyAndDynamically) {
   config.race_sanitize = true;
   System system(config);  // GC daemon on: a real resident process in the mix
 
-  analysis::RaceAnalysisReport report = system.kernel().AnalyzeRaces();
+  analysis::RaceAnalysisReport report = system.kernel().analyses().AnalyzeRaces();
   EXPECT_TRUE(report.ok()) << analysis::FormatRaceReport(report);
 
   system.RunUntil(200000);
-  EXPECT_TRUE(system.kernel().race_sanitizer()->races().empty());
+  EXPECT_TRUE(system.kernel().machine().observers().race_sanitizer()->races().empty());
 }
 
 }  // namespace

@@ -159,7 +159,7 @@ TEST_F(ProgramStoreTest, ReplaceFaultsOnAForgottenSegmentWithoutBumpingKeys) {
 
 TEST_F(ProgramStoreTest, ReplaceFiresTheHookButRegisterAndForgetDoNot) {
   std::vector<ObjectIndex> retracted;
-  store_.SetReplaceHook([&retracted](ObjectIndex index) { retracted.push_back(index); });
+  store_.SetRetractHook([&retracted](ObjectIndex index) { retracted.push_back(index); });
 
   auto ad = store_.Register(MakeProgram("patch.hooked"));
   ASSERT_TRUE(ad.ok());

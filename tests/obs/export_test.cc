@@ -1,3 +1,4 @@
+#include "src/analysis/program_analyses.h"
 #include "src/obs/perfetto.h"
 
 #include <gtest/gtest.h>
@@ -23,7 +24,7 @@ void RunTracedWorkload(System& system) {
   auto port = kernel.ports().CreatePort(system.memory().global_heap(), 2,
                                         QueueDiscipline::kFifo);
   ASSERT_TRUE(port.ok());
-  kernel.symbols().Name(port.value().index(), "test port");
+  kernel.analyses().symbols().Name(port.value().index(), "test port");
 
   Assembler leaf("leaf");
   leaf.Compute(64).ClearAd(7).Return();
@@ -90,7 +91,8 @@ TEST(ChromeTraceExportTest, ContainsEveryMajorEventFamily) {
   System system(TraceConfig());
   RunTracedWorkload(system);
 
-  std::string json = ExportChromeTrace(system.machine().trace(), &system.kernel().symbols());
+  std::string json =
+      ExportChromeTrace(system.machine().trace(), &system.kernel().analyses().symbols());
 
   EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
   // One named thread track per processor plus the GC and kernel tracks.

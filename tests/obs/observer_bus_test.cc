@@ -11,6 +11,7 @@
 #include "src/analysis/races/sanitizer.h"
 #include "src/isa/assembler.h"
 #include "src/obs/metrics.h"
+#include "src/obs/trace.h"
 #include "src/os/system.h"
 
 namespace imax432 {
@@ -95,22 +96,6 @@ std::unique_ptr<System> RunPipeline(Armed armed) {
   return system;
 }
 
-uint64_t Fingerprint(const TraceRecorder& trace) {
-  uint64_t hash = 1469598103934665603ull;
-  auto mix = [&hash](uint64_t word) {
-    hash ^= word;
-    hash *= 1099511628211ull;
-  };
-  for (const TraceEvent& event : trace.Snapshot()) {
-    mix(event.ts);
-    mix(event.process);
-    mix((static_cast<uint64_t>(event.a) << 32) | event.b);
-    mix((static_cast<uint64_t>(event.c) << 16) | event.cpu);
-    mix(static_cast<uint64_t>(event.kind));
-  }
-  return hash;
-}
-
 TEST(ObserverBusTest, ArmedObserversNeverChangeTheRun) {
   auto plain = RunPipeline(Armed::kNothing);
   auto traced = RunPipeline(Armed::kTrace);
@@ -127,19 +112,20 @@ TEST(ObserverBusTest, ArmedObserversNeverChangeTheRun) {
   // The ring records the same transitions whatever else listens on the bus.
   EXPECT_GT(traced->machine().trace().size(), 0u);
   EXPECT_EQ(traced->machine().trace().dropped(), 0u);
-  EXPECT_EQ(Fingerprint(observed->machine().trace()), Fingerprint(traced->machine().trace()));
+  EXPECT_EQ(TraceFingerprint(observed->machine().trace().Snapshot()),
+            TraceFingerprint(traced->machine().trace().Snapshot()));
 
   // Every armed observer heard the run.
   Machine& machine = observed->machine();
   machine.profiler().FlushOpenIntervals(machine.now());
   EXPECT_EQ(machine.profiler().CpuTotal(0), machine.now());
   EXPECT_GT(machine.spans().spans_created(), 0u);
-  const analysis::RaceSanitizer* sanitizer = observed->kernel().race_sanitizer();
+  const analysis::RaceSanitizer* sanitizer = machine.observers().race_sanitizer();
   ASSERT_NE(sanitizer, nullptr);
   EXPECT_GT(sanitizer->stats().accesses_checked, 0u);
   EXPECT_GT(sanitizer->stats().joins, 0u);
   EXPECT_TRUE(sanitizer->races().empty());
-  EXPECT_NE(observed->kernel().lifetime_auditor(), nullptr);
+  EXPECT_NE(observed->machine().observers().lifetime_auditor(), nullptr);
 }
 
 }  // namespace

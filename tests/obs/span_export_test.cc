@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/analysis/program_analyses.h"
 #include "src/obs/perfetto.h"
 #include "src/obs/span.h"
 #include "src/os/system.h"
@@ -89,7 +90,7 @@ TEST(SpanExportTest, RoundTripRederivesTheSpanTree) {
   tracer.FlushOpen();
   ASSERT_GT(tracer.spans().size(), 0u);
 
-  std::string json = ExportSpanChromeTrace(tracer, &system.kernel().symbols());
+  std::string json = ExportSpanChromeTrace(tracer, &system.kernel().analyses().symbols());
   EXPECT_EQ(json.rfind("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[", 0), 0u);
   EXPECT_NE(json.find("\n]}\n"), std::string::npos);
 

@@ -17,6 +17,7 @@
 #include "src/analysis/guards/guards.h"
 #include "src/analysis/interference/interference.h"
 #include "src/analysis/lifetime/lifetime.h"
+#include "src/analysis/program_analyses.h"
 #include "src/analysis/races/races.h"
 #include "src/analysis/verifier.h"
 #include "src/filing/journal.h"
@@ -241,7 +242,7 @@ int RunDeadlockChecks(System& system, bool dump) {
   int failures = 0;
 
   std::printf("\n==== whole-system IPC analysis (booted system) ====\n");
-  analysis::SystemAnalysisReport live = system.kernel().AnalyzeSystem();
+  analysis::SystemAnalysisReport live = system.kernel().analyses().AnalyzeSystem();
   std::printf("imax_lint: %u programs, %u distinct ports, %u opaque: %s\n",
               live.programs_analyzed, live.ports_seen, live.opaque_programs,
               live.ok() ? "clean" : "DIAGNOSTICS");
@@ -257,7 +258,7 @@ int RunDeadlockChecks(System& system, bool dump) {
   // running the ring would genuinely hang the simulation.
   std::printf("\n==== seeded deadlock corpus (every defect below must be flagged) ====\n");
   Kernel& kernel = system.kernel();
-  SymbolTable& symbols = kernel.symbols();
+  SymbolTable& symbols = kernel.analyses().symbols();
   auto make_port = [&](const char* name) {
     auto port = kernel.ports().CreatePort(system.memory().global_heap(), 4,
                                           QueueDiscipline::kFifo);
@@ -362,7 +363,7 @@ int RunRaceChecks(System& system, bool dump) {
   int failures = 0;
 
   std::printf("\n==== whole-system race analysis (booted system) ====\n");
-  analysis::RaceAnalysisReport live = system.kernel().AnalyzeRaces();
+  analysis::RaceAnalysisReport live = system.kernel().analyses().AnalyzeRaces();
   std::printf("imax_lint: %u programs, %u shared objects, %u pairs "
               "(%u ordered, %u suppressed): %s\n",
               live.programs_analyzed, live.objects_shared, live.pairs_checked,
@@ -376,7 +377,7 @@ int RunRaceChecks(System& system, bool dump) {
 
   std::printf("\n==== seeded race corpus (racy pairs flagged, ordered pairs not) ====\n");
   Kernel& kernel = system.kernel();
-  SymbolTable& symbols = kernel.symbols();
+  SymbolTable& symbols = kernel.analyses().symbols();
   // Shared objects and ports are real objects in the live table; the programs are analyzed
   // standalone, exactly like the deadlock corpus.
   auto make_object = [&](const char* name) {
@@ -552,7 +553,7 @@ int RunLifetimeChecks(System& system, bool dump) {
   int failures = 0;
 
   std::printf("\n==== whole-system lifetime analysis (booted system) ====\n");
-  analysis::LifetimeAnalysisReport live = system.kernel().AnalyzeLifetimes();
+  analysis::LifetimeAnalysisReport live = system.kernel().analyses().AnalyzeLifetimes();
   std::printf("imax_lint: %u programs, %u sites (%u demotable), %u opaque, "
               "%u leaks / %u anomalies suppressed: %s\n",
               live.programs_analyzed, live.sites_analyzed, live.sites_demotable,
@@ -566,7 +567,7 @@ int RunLifetimeChecks(System& system, bool dump) {
 
   std::printf("\n==== seeded lifetime corpus (leak + anomaly flagged, local/consumed not) "
               "====\n");
-  SymbolTable& symbols = system.kernel().symbols();
+  SymbolTable& symbols = system.kernel().analyses().symbols();
   // Long-lived containers are real objects in the live table so store targets resolve
   // exactly as they would at load time; the programs are analyzed standalone.
   auto make_container = [&](const char* name) {
@@ -763,7 +764,7 @@ int RunInterferenceChecks(System& system, bool dump) {
   int failures = 0;
 
   std::printf("\n==== whole-system interference analysis (booted system) ====\n");
-  analysis::InterferenceAnalysisReport live = system.kernel().AnalyzeInterference();
+  analysis::InterferenceAnalysisReport live = system.kernel().analyses().AnalyzeInterference();
   std::printf("imax_lint: %u programs, %u objects, %u independent / %u interfering / %u "
               "suppressed pair(s), %u certified immutable (%u caveated): %s\n",
               live.programs_analyzed, live.objects_seen, live.pairs_independent,
@@ -777,7 +778,7 @@ int RunInterferenceChecks(System& system, bool dump) {
 
   std::printf("\n==== seeded interference corpus (ground-truth verdicts & certificates) "
               "====\n");
-  SymbolTable& symbols = system.kernel().symbols();
+  SymbolTable& symbols = system.kernel().analyses().symbols();
   auto make_object = [&](const char* name) {
     auto object = system.memory().CreateObject(system.memory().global_heap(),
                                                SystemType::kGeneric, 16, 0,
@@ -908,14 +909,15 @@ int RunGuardChecks(System& system, bool dump) {
   int failures = 0;
 
   std::printf("\n==== whole-system guard-dominance analysis (booted system) ====\n");
-  analysis::GuardAnalysisReport live = system.kernel().AnalyzeGuards();
+  analysis::GuardAnalysisReport live = system.kernel().analyses().AnalyzeGuards();
   std::printf("imax_lint: %u programs, %u sites, %u checks: %u elidable, %u certified "
               "(%u fresh)\n",
               live.programs_analyzed, live.sites_seen, live.checks_seen,
               live.checks_elidable, live.checks_certified, live.certified_fresh);
   if (dump) {
-    std::fputs(analysis::FormatGuardReport(live, system.kernel().guard_summaries()).c_str(),
-               stdout);
+    std::fputs(
+        analysis::FormatGuardReport(live, system.kernel().analyses().guard_summaries()).c_str(),
+        stdout);
   }
   const analysis::GuardCounters& c = live.phase1;
   if (c.checks_seen != c.checks_elidable + c.suppressed_opaque + c.suppressed_dynamic +
@@ -929,7 +931,7 @@ int RunGuardChecks(System& system, bool dump) {
                 "proved dominated\n");
     ++failures;
   }
-  for (const auto& [segment, summary] : system.kernel().guard_summaries()) {
+  for (const auto& [segment, summary] : system.kernel().analyses().guard_summaries()) {
     (void)segment;
     for (const analysis::GuardSite& site : summary.sites) {
       AddFinding("guards", summary.program_name + ":" + std::to_string(site.pc),
@@ -941,7 +943,7 @@ int RunGuardChecks(System& system, bool dump) {
   }
 
   std::printf("\n==== seeded guard corpus (ground-truth certificates & retractions) ====\n");
-  SymbolTable& symbols = system.kernel().symbols();
+  SymbolTable& symbols = system.kernel().analyses().symbols();
   auto table = system.memory().CreateObject(system.memory().global_heap(),
                                             SystemType::kGeneric, 16, 0,
                                             rights::kRead | rights::kWrite);
@@ -1370,7 +1372,7 @@ int main(int argc, char** argv) {
   if (deadlock || races) {
     // Give the quickstart pair's port a name first, so any diagnostic that did involve it
     // would read well.
-    system.kernel().symbols().Name(port.value().index(), "example.queue");
+    system.kernel().analyses().symbols().Name(port.value().index(), "example.queue");
   }
   int deadlock_failures = 0;
   if (deadlock) {

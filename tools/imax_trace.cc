@@ -46,6 +46,8 @@
 #include <memory>
 #include <string>
 
+#include "src/analysis/program_analyses.h"
+#include "src/analysis/races/sanitizer.h"
 #include "src/filing/crash_campaign.h"
 #include "src/obs/critical_path.h"
 #include "src/obs/metrics.h"
@@ -105,7 +107,7 @@ std::unique_ptr<System> RunQuickstart(SystemConfig config) {
 
   auto port = kernel.ports().CreatePort(memory.global_heap(), 4, QueueDiscipline::kFifo);
   IMAX_CHECK(port.ok());
-  kernel.symbols().Name(port.value().index(), "work port");
+  kernel.analyses().symbols().Name(port.value().index(), "work port");
 
   // A one-entry domain the producer calls per item; every call is a protection-domain
   // switch and shows up as a ~65 us slice.
@@ -115,7 +117,7 @@ std::unique_ptr<System> RunQuickstart(SystemConfig config) {
   IMAX_CHECK(segment.ok());
   auto domain = kernel.CreateDomain({segment.value()});
   IMAX_CHECK(domain.ok());
-  kernel.symbols().Name(domain.value().index(), "stamp domain");
+  kernel.analyses().symbols().Name(domain.value().index(), "stamp domain");
 
   auto carrier = memory.CreateObject(memory.global_heap(), SystemType::kGeneric, 16, 3,
                                      rights::kRead | rights::kWrite);
@@ -165,8 +167,8 @@ std::unique_ptr<System> RunQuickstart(SystemConfig config) {
   auto consumer_process = system->Spawn(consumer.Build(), options);
   auto producer_process = system->Spawn(producer.Build(), options);
   IMAX_CHECK(consumer_process.ok() && producer_process.ok());
-  kernel.symbols().Name(consumer_process.value().index(), "consumer");
-  kernel.symbols().Name(producer_process.value().index(), "producer");
+  kernel.analyses().symbols().Name(consumer_process.value().index(), "consumer");
+  kernel.analyses().symbols().Name(producer_process.value().index(), "producer");
 
   system->Run();
   (void)system->RequestCollection();
@@ -189,7 +191,7 @@ std::unique_ptr<System> RunPipeline(SystemConfig config) {
     auto port =
         kernel.ports().CreatePort(memory.global_heap(), capacity, QueueDiscipline::kFifo);
     IMAX_CHECK(port.ok());
-    kernel.symbols().Name(port.value().index(), "stage port " + std::to_string(i));
+    kernel.analyses().symbols().Name(port.value().index(), "stage port " + std::to_string(i));
     ports.push_back(port.value());
   }
   kernel.AddRootProvider([ports](std::vector<AccessDescriptor>* roots) {
@@ -242,11 +244,11 @@ std::unique_ptr<System> RunPipeline(SystemConfig config) {
         .Halt();
     auto process = system->Spawn(a.Build(), options);
     IMAX_CHECK(process.ok());
-    kernel.symbols().Name(process.value().index(), "stage " + std::to_string(stage));
+    kernel.analyses().symbols().Name(process.value().index(), "stage " + std::to_string(stage));
   }
   auto source_process = system->Spawn(source.Build(), options);
   IMAX_CHECK(source_process.ok());
-  kernel.symbols().Name(source_process.value().index(), "source");
+  kernel.analyses().symbols().Name(source_process.value().index(), "source");
 
   system->Run();
   return system;
@@ -280,7 +282,7 @@ std::unique_ptr<System> RunChurn(SystemConfig config) {
   options.initial_arg = carrier.value();
   auto process = system->Spawn(churn.Build(), options);
   IMAX_CHECK(process.ok());
-  system->kernel().symbols().Name(process.value().index(), "churn");
+  system->kernel().analyses().symbols().Name(process.value().index(), "churn");
 
   system->Run();
   (void)system->RequestCollection();
@@ -404,7 +406,7 @@ int ReportObservers(System& system, const Options& options) {
       uint32_t segment = static_cast<uint32_t>(sites[i].first >> 32);
       uint32_t pc = static_cast<uint32_t>(sites[i].first & 0xffffffffu);
       std::string name = "segment " + std::to_string(segment);
-      const std::string* symbol = system.kernel().symbols().Find(segment);
+      const std::string* symbol = system.kernel().analyses().symbols().Find(segment);
       if (symbol != nullptr) name = *symbol;
       std::fprintf(stderr, "    %s pc %u: %llu samples, %llu cycles\n", name.c_str(), pc,
                    static_cast<unsigned long long>(sites[i].second.samples),
@@ -422,7 +424,8 @@ int ReportObservers(System& system, const Options& options) {
     std::fprintf(stderr, "%s", report.ToString().c_str());
   }
   if (!options.span_export.empty()) {
-    std::string json = ExportSpanChromeTrace(machine.spans(), &system.kernel().symbols());
+    std::string json =
+        ExportSpanChromeTrace(machine.spans(), &system.kernel().analyses().symbols());
     if (!WriteFile(options.span_export, json)) {
       rc = 1;
     } else {
@@ -434,7 +437,7 @@ int ReportObservers(System& system, const Options& options) {
     }
   }
   if (options.race_sanitize) {
-    const analysis::RaceSanitizer* sanitizer = system.kernel().race_sanitizer();
+    const analysis::RaceSanitizer* sanitizer = machine.observers().race_sanitizer();
     const analysis::RaceSanitizerStats& stats = sanitizer->stats();
     std::fprintf(stderr,
                  "race sanitizer: %llu accesses checked, %llu messages stamped, "
@@ -577,7 +580,7 @@ CampaignResult RunCampaign(const Options& options) {
     po.fault_port = fault_port.value();
     auto process = system.Spawn(a.Build(), po);
     IMAX_CHECK(process.ok());
-    kernel.symbols().Name(process.value().index(), "worker " + std::to_string(w));
+    kernel.analyses().symbols().Name(process.value().index(), "worker " + std::to_string(w));
   }
 
   system.Run();
@@ -770,8 +773,8 @@ int RunInjectCampaign(const Options& options) {
   // Campaigns usually only want the report; export the timeline only when --out was given
   // explicitly (the default trace.json write would be surprising here).
   if (options.out != "trace.json") {
-    std::string json =
-        ExportChromeTrace(result.system->machine().trace(), &result.system->kernel().symbols());
+    std::string json = ExportChromeTrace(result.system->machine().trace(),
+                                         &result.system->kernel().analyses().symbols());
     if (!WriteFile(options.out, json)) {
       return 1;
     }
@@ -1056,7 +1059,7 @@ int main(int argc, char** argv) {
   }
 
   const TraceRecorder& trace = system->machine().trace();
-  std::string json = ExportChromeTrace(trace, &system->kernel().symbols());
+  std::string json = ExportChromeTrace(trace, &system->kernel().analyses().symbols());
   if (!WriteFile(options.out, json)) {
     return 1;
   }
