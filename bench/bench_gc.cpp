@@ -8,7 +8,8 @@
 // Rows reported:
 //   - GlobalGcReclaim : us of collector work per reclaimed object (global heap garbage)
 //   - LocalHeapBulkDestroy : us per object when the ancestral SRO is destroyed instead
-//   - GcScalesWithHeap : cost of a cycle vs live-heap size (mark dominates)
+//   - GcScalesWithHeap : cost of a cycle vs live-heap size (mark dominates), and the
+//     descriptors the collector's table walks visit per cycle (host work)
 //   - MutatorInterference : mutator slowdown while the daemon collects alongside it
 
 #include "bench/bench_util.h"
@@ -99,6 +100,7 @@ BENCHMARK(BM_LocalHeapBulkDestroy)->Arg(100)->Arg(400)->Arg(1600)->Iterations(1)
 void BM_GcScalesWithLiveHeap(benchmark::State& state) {
   int live = static_cast<int>(state.range(0));
   double cycle_us = 0;
+  double visited_per_cycle = 0;
   for (auto _ : state) {
     SystemConfig config = DefaultConfig(1);
     config.start_gc_daemon = true;
@@ -120,12 +122,22 @@ void BM_GcScalesWithLiveHeap(benchmark::State& state) {
     });
     MakeGlobalGarbage(system, 100);
     Cycles before = system.now();
+    GcStats stats_before = system.gc().stats();
     IMAX_CHECK(system.RequestCollection().ok());
     system.Run();
     cycle_us = ToUs(system.now() - before);
+    const GcStats& stats = system.gc().stats();
+    IMAX_CHECK(stats.cycles_completed > stats_before.cycles_completed);
+    visited_per_cycle =
+        static_cast<double>(stats.descriptors_visited - stats_before.descriptors_visited) /
+        static_cast<double>(stats.cycles_completed - stats_before.cycles_completed);
   }
   state.counters["live_objects"] = live;
   state.counters["gc_cycle_us"] = cycle_us;
+  // Host work: descriptors the collector's table walks dereferenced per cycle. The walks
+  // read the allocation bitmap, so this grows with the live heap; a walk over every table
+  // slot would give about 7 x capacity (here 16384) whatever the heap size.
+  state.counters["descriptors_visited_per_cycle"] = visited_per_cycle;
 }
 BENCHMARK(BM_GcScalesWithLiveHeap)->Arg(0)->Arg(500)->Arg(2000)->Arg(8000)->Iterations(1);
 

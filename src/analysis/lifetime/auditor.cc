@@ -33,10 +33,9 @@ std::vector<LifetimeViolation> LifetimeAuditor::AuditScopeExit(const ObjectTable
   std::vector<LifetimeViolation> found;
   if (population.empty()) return found;
 
-  for (ObjectIndex holder = 0; holder < table.capacity(); ++holder) {
-    if (holder == owner_context || population.count(holder) != 0) continue;
+  table.ForEachAllocated(0, table.capacity(), [&](ObjectIndex holder) {
+    if (holder == owner_context || population.count(holder) != 0) return;
     const ObjectDescriptor& descriptor = table.At(holder);
-    if (!descriptor.allocated) continue;
     ++stats_.objects_scanned;
     for (uint32_t slot = 0; slot < descriptor.access_count(); ++slot) {
       const AccessDescriptor& ad = descriptor.access[slot];
@@ -54,7 +53,7 @@ std::vector<LifetimeViolation> LifetimeAuditor::AuditScopeExit(const ObjectTable
       found.push_back(violation);
       ++stats_.violations;
     }
-  }
+  });
   violations_.insert(violations_.end(), found.begin(), found.end());
   return found;
 }

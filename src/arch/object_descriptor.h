@@ -31,6 +31,8 @@ enum class GcColor : uint8_t {
   kBlack,      // reached and fully scanned
 };
 
+inline constexpr uint32_t kNoSroPosition = 0xFFFFFFFFu;
+
 struct ObjectDescriptor {
   bool allocated = false;
 
@@ -94,6 +96,11 @@ struct ObjectDescriptor {
   // Total architectural bytes charged to the origin SRO for this object (data part plus
   // kAdArchBytes per access slot), remembered so reclamation returns exactly what was taken.
   uint32_t storage_claim = 0;
+
+  // Position of this object in its origin SRO's member list (Sro::objects()), kept by the
+  // memory manager so removing a member is O(1); kNoSroPosition when the object is not a
+  // recorded member. It sits in the struct's tail padding, keeping the descriptor 80 bytes.
+  uint32_t sro_position = kNoSroPosition;
 
   uint32_t access_count() const { return static_cast<uint32_t>(access.size()); }
 };

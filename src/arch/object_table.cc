@@ -7,6 +7,7 @@ namespace imax432 {
 ObjectTable::ObjectTable(uint32_t capacity) {
   IMAX_CHECK(capacity > 0 && capacity < kInvalidObjectIndex);
   slots_.resize(capacity);
+  allocated_bits_.assign((capacity + 63) / 64, 0);
   free_list_.reserve(capacity);
   // Hand out low indices first: push in reverse so pop_back yields ascending order.
   for (uint32_t i = capacity; i > 0; --i) {
@@ -44,7 +45,9 @@ Result<ObjectIndex> ObjectTable::Allocate(SystemType type, Level level, PhysAddr
   slot.data_epoch = 0;
   slot.quarantined = false;
   slot.storage_claim = storage_claim;
+  slot.sro_position = kNoSroPosition;
   slot.checksum = DescriptorChecksum(slot);
+  allocated_bits_[index / 64] |= uint64_t{1} << (index % 64);
   ++live_count_;
   return index;
 }
@@ -62,6 +65,7 @@ Status ObjectTable::Free(ObjectIndex index) {
   slot.access.shrink_to_fit();
   slot.quarantined = false;
   ++slot.generation;
+  allocated_bits_[index / 64] &= ~(uint64_t{1} << (index % 64));
   --live_count_;
   free_list_.push_back(index);
   return Status::Ok();

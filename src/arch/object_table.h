@@ -7,6 +7,8 @@
 #ifndef IMAX432_SRC_ARCH_OBJECT_TABLE_H_
 #define IMAX432_SRC_ARCH_OBJECT_TABLE_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -33,6 +35,36 @@ class ObjectTable {
 
   // Releases a descriptor slot. The slot's generation advances so outstanding ADs die.
   Status Free(ObjectIndex index);
+
+  // The lowest allocated index in [from, min(end, capacity())), or min(end, capacity())
+  // when there is none. Reads the allocation bitmap, so a walk over the table costs
+  // O(capacity / 64 + live) rather than one descriptor per slot; a walk that frees or
+  // allocates as it goes sees every change at indices it has not passed yet.
+  ObjectIndex NextAllocated(ObjectIndex from, ObjectIndex end) const {
+    uint32_t limit = std::min(end, capacity());
+    if (from >= limit) {
+      return limit;
+    }
+    uint32_t word = from / 64;
+    uint64_t bits = allocated_bits_[word] & (~uint64_t{0} << (from % 64));
+    while (bits == 0) {
+      if (++word * 64 >= limit) {
+        return limit;
+      }
+      bits = allocated_bits_[word];
+    }
+    return std::min(word * 64 + static_cast<uint32_t>(std::countr_zero(bits)), limit);
+  }
+
+  // Calls fn(index) for every allocated index in [from, min(end, capacity())), ascending.
+  // The bitmap is read afresh after each call, so fn may free or allocate slots.
+  template <typename Fn>
+  void ForEachAllocated(ObjectIndex from, ObjectIndex end, Fn&& fn) const {
+    uint32_t limit = std::min(end, capacity());
+    for (ObjectIndex i = NextAllocated(from, limit); i < limit; i = NextAllocated(i + 1, limit)) {
+      fn(i);
+    }
+  }
 
   // Resolves an AD to its live descriptor. Faults: kNullAccess, kInvalidAccess (bad index,
   // unallocated slot, or generation mismatch).
@@ -73,6 +105,8 @@ class ObjectTable {
 
  private:
   std::vector<ObjectDescriptor> slots_;
+  // Bit i is set while slot i is allocated (mirrors ObjectDescriptor::allocated).
+  std::vector<uint64_t> allocated_bits_;
   std::vector<ObjectIndex> free_list_;
   uint32_t live_count_ = 0;
 };

@@ -34,10 +34,11 @@ void GarbageCollector::ShadeRoots() {
   // reference is live for as long as their demote SRO exists, so their outgoing slots are
   // pseudo-roots. Without this, a heap object referenced only from a demoted object would
   // be swept while still reachable.
-  for (ObjectIndex i = 0; i < table.capacity(); ++i) {
+  table.ForEachAllocated(0, table.capacity(), [&](ObjectIndex i) {
     const ObjectDescriptor& descriptor = table.At(i);
-    if (!descriptor.allocated || !descriptor.gc_exempt) {
-      continue;
+    ++stats_.descriptors_visited;
+    if (!descriptor.gc_exempt) {
+      return;
     }
     for (const AccessDescriptor& slot : descriptor.access) {
       if (!slot.is_null() && table.Resolve(slot).ok()) {
@@ -45,7 +46,7 @@ void GarbageCollector::ShadeRoots() {
       }
       ++stats_.slots_scanned;
     }
-  }
+  });
 }
 
 void GarbageCollector::EmitPhase() {
@@ -66,11 +67,9 @@ bool GarbageCollector::MarkFixpoint() {
   ObjectTable& table = kernel_->machine().table();
   bool changed = false;
 
-  for (ObjectIndex i = 0; i < table.capacity(); ++i) {
+  table.ForEachAllocated(0, table.capacity(), [&](ObjectIndex i) {
     const ObjectDescriptor& descriptor = table.At(i);
-    if (!descriptor.allocated) {
-      continue;
-    }
+    ++stats_.descriptors_visited;
     // Dijkstra's termination scan: the mutator's gray bit marks objects gray *in place*
     // (the hardware cannot push onto the collector's worklist), so the collector must
     // rescan for gray descriptors until a full pass finds none. This is the "minimal
@@ -78,10 +77,10 @@ bool GarbageCollector::MarkFixpoint() {
     if (descriptor.color == GcColor::kGray) {
       gray_.push_back(i);
       changed = true;
-      continue;
+      return;
     }
     if (descriptor.color == GcColor::kWhite) {
-      continue;
+      return;
     }
     // Origin-SRO liveness: a live (black) object keeps its allocating SRO (and transitively
     // that SRO's allocator) live, otherwise reclaiming the SRO would destroy live objects.
@@ -92,7 +91,7 @@ bool GarbageCollector::MarkFixpoint() {
       ++stats_.sros_kept_live;
       changed = true;
     }
-  }
+  });
 
   // Fresh root snapshot: processes may have moved into shadow queues since the last one.
   size_t before = gray_.size();
@@ -111,21 +110,23 @@ bool GarbageCollector::Step(uint32_t units) {
 
       case Phase::kWhiten: {
         // Flip every descriptor to white; the mutator's gray bit re-shades anything moved
-        // from here on, so no live object can stay white through a full mark.
+        // from here on, so no live object can stay white through a full mark. A batch
+        // covers `batch` table slots and is charged per slot, but only allocated
+        // descriptors are visited.
         uint32_t batch = std::min(units, table.capacity() - cursor_);
-        for (uint32_t i = 0; i < batch; ++i, ++cursor_) {
-          ObjectDescriptor& descriptor = table.At(cursor_);
-          if (descriptor.allocated) {
-            if (descriptor.gc_exempt) {
-              // Demoted objects never enter the cycle: permanently black, reclaimed only
-              // by their demote SRO's bulk destroy at context exit.
-              descriptor.color = GcColor::kBlack;
-              ++stats_.exempt_objects_skipped;
-            } else {
-              descriptor.color = GcColor::kWhite;
-            }
+        table.ForEachAllocated(cursor_, cursor_ + batch, [&](ObjectIndex i) {
+          ObjectDescriptor& descriptor = table.At(i);
+          ++stats_.descriptors_visited;
+          if (descriptor.gc_exempt) {
+            // Demoted objects never enter the cycle: permanently black, reclaimed only by
+            // their demote SRO's bulk destroy at context exit.
+            descriptor.color = GcColor::kBlack;
+            ++stats_.exempt_objects_skipped;
+          } else {
+            descriptor.color = GcColor::kWhite;
           }
-        }
+        });
+        cursor_ += batch;
         units -= batch;
         work_units_ += batch;
         if (cursor_ == table.capacity()) {
@@ -168,10 +169,14 @@ bool GarbageCollector::Step(uint32_t units) {
       }
 
       case Phase::kSweep: {
+        // Charged per table slot like whiten. SweepOne may free later slots (a garbage
+        // SRO cascades), which the walk sees because it reads the bitmap live.
         uint32_t batch = std::min(units, table.capacity() - cursor_);
-        for (uint32_t i = 0; i < batch; ++i, ++cursor_) {
-          SweepOne(cursor_);
-        }
+        table.ForEachAllocated(cursor_, cursor_ + batch, [&](ObjectIndex i) {
+          ++stats_.descriptors_visited;
+          SweepOne(i);
+        });
+        cursor_ += batch;
         units -= batch;
         work_units_ += batch;
         if (cursor_ == table.capacity()) {
@@ -277,6 +282,7 @@ GcStats GarbageCollector::CollectNow() {
   delta.filter_send_failures = stats_.filter_send_failures - before.filter_send_failures;
   delta.exempt_objects_skipped =
       stats_.exempt_objects_skipped - before.exempt_objects_skipped;
+  delta.descriptors_visited = stats_.descriptors_visited - before.descriptors_visited;
   return delta;
 }
 
@@ -294,19 +300,21 @@ Result<GcStats> GarbageCollector::CollectLocalNow(const AccessDescriptor& sro_ad
   GcStats before = stats_;
 
   // Population: objects allocated directly from this SRO. Whiten them; everything else
-  // keeps its color (a non-white color elsewhere never matters below).
+  // keeps its color (a non-white color elsewhere never matters below). The scan charges one
+  // work unit per table slot but visits only allocated ones.
   std::vector<bool> population(table.capacity(), false);
   std::vector<ObjectIndex> members;
-  for (ObjectIndex i = 0; i < table.capacity(); ++i) {
+  table.ForEachAllocated(0, table.capacity(), [&](ObjectIndex i) {
     ObjectDescriptor& descriptor = table.At(i);
-    if (descriptor.allocated && descriptor.origin_sro == sro_index &&
-        !descriptor.gc_exempt && descriptor.type != SystemType::kStorageResource) {
+    ++stats_.descriptors_visited;
+    if (descriptor.origin_sro == sro_index && !descriptor.gc_exempt &&
+        descriptor.type != SystemType::kStorageResource) {
       population[i] = true;
       descriptor.color = GcColor::kWhite;
       members.push_back(i);
     }
-    ++work_units_;
-  }
+  });
+  work_units_ += table.capacity();
 
   IMAX_CHECK(gray_.empty());
   auto shade_if_member = [&](const AccessDescriptor& ad) {
@@ -318,17 +326,18 @@ Result<GcStats> GarbageCollector::CollectLocalNow(const AccessDescriptor& sro_ad
 
   // External scan: one flat pass over every other object's access part, plus the root set.
   // The level rule guarantees no reference into the population hides anywhere else.
-  for (ObjectIndex i = 0; i < table.capacity(); ++i) {
+  table.ForEachAllocated(0, table.capacity(), [&](ObjectIndex i) {
     const ObjectDescriptor& descriptor = table.At(i);
-    if (!descriptor.allocated || population[i]) {
-      continue;
+    ++stats_.descriptors_visited;
+    if (population[i]) {
+      return;
     }
     for (const AccessDescriptor& slot : descriptor.access) {
       shade_if_member(slot);
       ++stats_.slots_scanned;
       ++work_units_;
     }
-  }
+  });
   std::vector<AccessDescriptor> roots;
   kernel_->AppendRoots(&roots);
   roots.push_back(kernel_->memory().global_heap());
@@ -366,6 +375,7 @@ Result<GcStats> GarbageCollector::CollectLocalNow(const AccessDescriptor& sro_ad
   delta.bytes_reclaimed = stats_.bytes_reclaimed - before.bytes_reclaimed;
   delta.objects_finalized = stats_.objects_finalized - before.objects_finalized;
   delta.filter_send_failures = stats_.filter_send_failures - before.filter_send_failures;
+  delta.descriptors_visited = stats_.descriptors_visited - before.descriptors_visited;
   return delta;
 }
 

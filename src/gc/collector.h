@@ -44,6 +44,10 @@ struct GcStats {
   uint64_t sros_kept_live = 0;       // SROs shaded by the origin-liveness rule
   uint64_t filter_send_failures = 0; // filter port full: object survives to next cycle
   uint64_t exempt_objects_skipped = 0;  // demoted (gc_exempt) objects held black at whiten
+  // Allocated descriptors the table walks dereferenced (whiten, mark fixpoint, root pass,
+  // sweep, and both local-collection scans). A host-work counter: the walks skip free
+  // slots, so this tracks the live heap, not the table capacity.
+  uint64_t descriptors_visited = 0;
 };
 
 class GarbageCollector {
@@ -92,7 +96,8 @@ class GarbageCollector {
   // Starts a new collection cycle (whiten + root shading setup).
   void BeginCycle();
   // Performs up to `units` units of work; returns true while more work remains. One unit is
-  // one descriptor examined or one AD slot scanned.
+  // one table slot passed by whiten or sweep (allocated or not), one object blackened, or
+  // one AD slot scanned.
   bool Step(uint32_t units);
   bool cycle_in_progress() const { return phase_ != Phase::kIdle; }
 

@@ -82,7 +82,7 @@ Result<AccessDescriptor> BasicMemoryManager::CreateObject(const AccessDescriptor
   // The create-object instruction delivers a zeroed segment.
   IMAX_CHECK(machine_->memory().Zero(base, data_bytes).ok());
 
-  sro->RecordObject(index.value());
+  machine_->table().At(index.value()).sro_position = sro->RecordObject(index.value());
   SyncSroCounters(*sro);
   ++stats_.objects_created;
   stats_.resident_bytes += data_bytes;
@@ -112,7 +112,10 @@ Status BasicMemoryManager::DestroyByIndex(ObjectIndex index, bool forget_in_orig
       origin->FreeRange(descriptor.data_base, descriptor.storage_claim);
     }
     if (forget_in_origin) {
-      origin->ForgetObject(index);
+      ObjectIndex moved = origin->ForgetObject(index, descriptor.sro_position);
+      if (moved != kInvalidObjectIndex) {
+        machine_->table().At(moved).sro_position = descriptor.sro_position;
+      }
     }
     SyncSroCounters(*origin);
   }
@@ -155,7 +158,7 @@ Result<AccessDescriptor> BasicMemoryManager::CreateLocalSro(const AccessDescript
     parent->FreeRange(self_base.value(), claim);
     return index.fault();
   }
-  parent->RecordObject(index.value());
+  machine_->table().At(index.value()).sro_position = parent->RecordObject(index.value());
   SyncSroCounters(*parent);
 
   auto sro = std::make_unique<Sro>(index.value(), level, region_base, bytes, parent->self());

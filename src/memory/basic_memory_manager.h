@@ -36,6 +36,13 @@ class BasicMemoryManager : public MemoryManager {
   MemoryStats stats() const override { return stats_; }
   Status ReclaimGarbage(ObjectIndex index) override;
 
+  // Allocation state of the SRO whose object index is `sro`, or null if there is none
+  // (diagnostics and tests: e.g. the order of Sro::objects()).
+  const Sro* FindSro(ObjectIndex sro) const {
+    auto it = sros_.find(sro);
+    return it == sros_.end() ? nullptr : it->second.get();
+  }
+
  protected:
   // Allocates physical space from `sro`; the swapping subclass overrides this to evict on
   // exhaustion. `bytes` is the total architectural claim of the new object.

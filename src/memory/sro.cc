@@ -55,12 +55,13 @@ void Sro::FreeRange(PhysAddr base, uint32_t bytes) {
   }
 }
 
-void Sro::ForgetObject(ObjectIndex index) {
-  auto it = std::find(objects_.begin(), objects_.end(), index);
-  if (it != objects_.end()) {
-    *it = objects_.back();
-    objects_.pop_back();
+ObjectIndex Sro::ForgetObject(ObjectIndex index, uint32_t position) {
+  if (position >= objects_.size() || objects_[position] != index) {
+    return kInvalidObjectIndex;
   }
+  objects_[position] = objects_.back();
+  objects_.pop_back();
+  return position < objects_.size() ? objects_[position] : kInvalidObjectIndex;
 }
 
 uint32_t Sro::largest_free_extent() const {

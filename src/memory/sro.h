@@ -58,8 +58,18 @@ class Sro {
   // Object bookkeeping: the manager records every object allocated from this SRO so that
   // destroying the SRO can reclaim them in bulk ("objects may be destroyed whenever their
   // ancestral SRO is destroyed, without leaving dangling references").
-  void RecordObject(ObjectIndex index) { objects_.push_back(index); }
-  void ForgetObject(ObjectIndex index);
+  //
+  // RecordObject returns the member's position in objects(); the manager keeps it with the
+  // object (ObjectDescriptor::sro_position) so ForgetObject is O(1).
+  uint32_t RecordObject(ObjectIndex index) {
+    objects_.push_back(index);
+    return static_cast<uint32_t>(objects_.size() - 1);
+  }
+  // Removes `index`, recorded at `position`, by moving the last member into its place. A
+  // no-op unless objects()[position] == index. Returns the member that moved into
+  // `position` (whose stored position the caller must update), or kInvalidObjectIndex when
+  // none moved.
+  ObjectIndex ForgetObject(ObjectIndex index, uint32_t position);
 
   const std::vector<ObjectIndex>& objects() const { return objects_; }
   std::vector<ObjectIndex> TakeObjects() { return std::move(objects_); }

@@ -55,7 +55,9 @@ CounterMap CountersFor(const GcStats& stats) {
           {"bytes_reclaimed", stats.bytes_reclaimed},
           {"objects_finalized", stats.objects_finalized},
           {"sros_kept_live", stats.sros_kept_live},
-          {"filter_send_failures", stats.filter_send_failures}};
+          {"filter_send_failures", stats.filter_send_failures},
+          {"exempt_objects_skipped", stats.exempt_objects_skipped},
+          {"descriptors_visited", stats.descriptors_visited}};
 }
 
 CounterMap CountersFor(const MemoryStats& stats) {

@@ -8,11 +8,8 @@ ObjectCensus Introspection::TakeCensus() const {
   const ObjectTable& table = kernel_->machine().table();
   ObjectCensus census;
   census.table_capacity = table.capacity();
-  for (ObjectIndex i = 0; i < table.capacity(); ++i) {
+  table.ForEachAllocated(0, table.capacity(), [&](ObjectIndex i) {
     const ObjectDescriptor& descriptor = table.At(i);
-    if (!descriptor.allocated) {
-      continue;
-    }
     ++census.live_objects;
     int type = static_cast<int>(descriptor.type);
     ++census.count_by_type[type];
@@ -28,7 +25,7 @@ ObjectCensus Introspection::TakeCensus() const {
     if (descriptor.level > census.max_level) {
       census.max_level = descriptor.level;
     }
-  }
+  });
   return census;
 }
 

@@ -123,20 +123,19 @@ bool FaultInjector::PickGenericObject(uint32_t target, bool needs_data,
                                       ObjectIndex* out) const {
   const ObjectTable& table = kernel_->machine().table();
   std::vector<ObjectIndex> candidates;
-  for (ObjectIndex index = 0; index < table.capacity(); ++index) {
+  table.ForEachAllocated(0, table.capacity(), [&](ObjectIndex index) {
     const ObjectDescriptor& descriptor = table.At(index);
     // Only plain generic objects: corrupting a kernel system object (process, context,
     // port) would model a fault class the 432's checked-against-the-descriptor microcode
     // paths don't survive, and quarantine deliberately applies to generic objects only.
-    if (!descriptor.allocated || descriptor.type != SystemType::kGeneric ||
-        descriptor.quarantined) {
-      continue;
+    if (descriptor.type != SystemType::kGeneric || descriptor.quarantined) {
+      return;
     }
     if (needs_data && (descriptor.data_length == 0 || descriptor.swapped_out)) {
-      continue;
+      return;
     }
     candidates.push_back(index);
-  }
+  });
   if (candidates.empty()) {
     return false;
   }

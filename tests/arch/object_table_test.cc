@@ -2,8 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "src/base/xorshift.h"
+
 namespace imax432 {
 namespace {
+
+// A table of `capacity` slots in which exactly `keep` are allocated.
+void AllocateOnly(ObjectTable& table, const std::set<ObjectIndex>& keep) {
+  for (uint32_t i = 0; i < table.capacity(); ++i) {
+    ASSERT_TRUE(table.Allocate(SystemType::kGeneric, 0, 0, 0, 0, 0, 0).ok());
+  }
+  for (uint32_t i = 0; i < table.capacity(); ++i) {
+    if (keep.count(i) == 0) {
+      ASSERT_TRUE(table.Free(i).ok());
+    }
+  }
+}
 
 TEST(ObjectTableTest, AllocateInitializesDescriptor) {
   ObjectTable table(16);
@@ -137,6 +153,117 @@ TEST(ObjectTableTest, CountsTrackAllocations) {
   EXPECT_EQ(table.free_count(), 3u);
   ASSERT_TRUE(table.Free(indices[2]).ok());
   EXPECT_EQ(table.live_count(), 4u);
+}
+
+TEST(ObjectTableTest, DescriptorKeepsItsSize) {
+  // sro_position sits in tail padding; the table's footprint (capacity x this) must not grow.
+  if constexpr (sizeof(void*) == 8) {
+    EXPECT_EQ(sizeof(ObjectDescriptor), 80u);
+  }
+}
+
+TEST(ObjectTableTest, NextAllocatedOnEmptyTable) {
+  ObjectTable table(200);
+  EXPECT_EQ(table.NextAllocated(0, 200), 200u);
+  EXPECT_EQ(table.NextAllocated(0, 1000), 200u);  // end clamps to capacity
+  EXPECT_EQ(table.NextAllocated(70, 130), 130u);
+  EXPECT_EQ(table.NextAllocated(150, 100), 100u);  // empty range
+}
+
+TEST(ObjectTableTest, NextAllocatedAcrossWordBoundary) {
+  ObjectTable table(200);
+  AllocateOnly(table, {63, 64, 65});
+  EXPECT_EQ(table.NextAllocated(0, 200), 63u);
+  EXPECT_EQ(table.NextAllocated(63, 200), 63u);
+  EXPECT_EQ(table.NextAllocated(64, 200), 64u);
+  EXPECT_EQ(table.NextAllocated(65, 200), 65u);
+  EXPECT_EQ(table.NextAllocated(66, 200), 200u);
+  // `end` is exclusive: a set bit at or past it is not found.
+  EXPECT_EQ(table.NextAllocated(0, 63), 63u);
+  EXPECT_EQ(table.NextAllocated(0, 64), 63u);
+  EXPECT_EQ(table.NextAllocated(64, 65), 64u);
+  EXPECT_EQ(table.NextAllocated(66, 5000), 200u);
+}
+
+TEST(ObjectTableTest, NextAllocatedWithCapacityNotAMultipleOf64) {
+  ObjectTable table(70);
+  AllocateOnly(table, {0, 69});
+  EXPECT_EQ(table.NextAllocated(0, 70), 0u);
+  EXPECT_EQ(table.NextAllocated(1, 70), 69u);
+  EXPECT_EQ(table.NextAllocated(1, 1u << 20), 69u);
+  EXPECT_EQ(table.NextAllocated(1, 69), 69u);
+  EXPECT_EQ(table.NextAllocated(70, 1u << 20), 70u);
+}
+
+TEST(ObjectTableTest, NextAllocatedFollowsFreeAndReuse) {
+  ObjectTable table(8);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(table.Allocate(SystemType::kGeneric, 0, 0, 0, 0, 0, 0).ok());
+  }
+  EXPECT_EQ(table.NextAllocated(1, 8), 1u);
+  ASSERT_TRUE(table.Free(1).ok());
+  EXPECT_EQ(table.NextAllocated(1, 8), 2u);
+  auto reused = table.Allocate(SystemType::kGeneric, 0, 0, 0, 0, 0, 0);
+  ASSERT_TRUE(reused.ok());
+  EXPECT_EQ(reused.value(), 1u);
+  EXPECT_EQ(table.NextAllocated(1, 8), 1u);
+}
+
+// Property test: after random allocate/free sequences, ForEachAllocated visits exactly the
+// allocated slots, ascending.
+TEST(ObjectTableTest, PropertyForEachAllocatedMatchesDescriptors) {
+  Xorshift rng(4321);
+  ObjectTable table(333);
+  std::vector<ObjectIndex> live;
+  for (int step = 0; step < 3000; ++step) {
+    if (live.empty() || rng.NextChance(1, 2)) {
+      auto index = table.Allocate(SystemType::kGeneric, 0, 0, 0, 0, 0, 0);
+      if (index.ok()) {
+        live.push_back(index.value());
+      }
+    } else {
+      size_t pick = rng.NextBelow(live.size());
+      ASSERT_TRUE(table.Free(live[pick]).ok());
+      live[pick] = live.back();
+      live.pop_back();
+    }
+    if (step % 100 != 0) {
+      continue;
+    }
+    std::vector<ObjectIndex> expected;
+    for (ObjectIndex i = 0; i < table.capacity(); ++i) {
+      if (table.At(i).allocated) {
+        expected.push_back(i);
+      }
+    }
+    std::vector<ObjectIndex> visited;
+    table.ForEachAllocated(0, table.capacity(), [&](ObjectIndex i) { visited.push_back(i); });
+    ASSERT_EQ(visited, expected) << "step " << step;
+  }
+}
+
+TEST(ObjectTableTest, ForEachAllocatedSeesChangesAheadOfTheWalk) {
+  // The sweep frees slots ahead of its position (a garbage SRO cascades): the walk must
+  // skip them, and must visit a slot allocated ahead of it.
+  ObjectTable table(200);
+  AllocateOnly(table, {10, 100, 150});
+  std::vector<ObjectIndex> visited;
+  table.ForEachAllocated(0, table.capacity(), [&](ObjectIndex i) {
+    visited.push_back(i);
+    if (i == 10) {
+      ASSERT_TRUE(table.Free(100).ok());
+    }
+  });
+  EXPECT_EQ(visited, (std::vector<ObjectIndex>{10, 150}));
+  // Allocation reuses the most recently freed slot (100) first.
+  std::vector<ObjectIndex> second;
+  table.ForEachAllocated(0, table.capacity(), [&](ObjectIndex i) {
+    second.push_back(i);
+    if (i == 10) {
+      ASSERT_TRUE(table.Allocate(SystemType::kGeneric, 0, 0, 0, 0, 0, 0).ok());
+    }
+  });
+  EXPECT_EQ(second, (std::vector<ObjectIndex>{10, 100, 150}));
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "src/base/xorshift.h"
 
 namespace imax432 {
@@ -68,18 +71,61 @@ TEST(SroTest, FragmentationCanBlockLargeRequests) {
 
 TEST(SroTest, ObjectBookkeeping) {
   Sro sro(0, 2, 0, 100, kInvalidObjectIndex);
-  sro.RecordObject(10);
-  sro.RecordObject(11);
-  sro.RecordObject(12);
+  EXPECT_EQ(sro.RecordObject(10), 0u);
+  EXPECT_EQ(sro.RecordObject(11), 1u);
+  EXPECT_EQ(sro.RecordObject(12), 2u);
   EXPECT_EQ(sro.objects().size(), 3u);
-  sro.ForgetObject(11);
+  // The last member moves into the vacated position.
+  EXPECT_EQ(sro.ForgetObject(11, 1), 12u);
   EXPECT_EQ(sro.objects().size(), 2u);
-  // Forgetting an unknown index is a no-op.
-  sro.ForgetObject(99);
+  // Forgetting an unknown index is a no-op, whatever position it claims.
+  EXPECT_EQ(sro.ForgetObject(99, 0), kInvalidObjectIndex);
+  EXPECT_EQ(sro.ForgetObject(99, 7), kInvalidObjectIndex);
   EXPECT_EQ(sro.objects().size(), 2u);
+  // Forgetting the last member moves nothing.
+  EXPECT_EQ(sro.ForgetObject(12, 1), kInvalidObjectIndex);
+  EXPECT_EQ(sro.objects(), (std::vector<ObjectIndex>{10}));
+  sro.RecordObject(13);
   auto taken = sro.TakeObjects();
   EXPECT_EQ(taken.size(), 2u);
   EXPECT_TRUE(sro.objects().empty());
+}
+
+// Property test: removal through stored positions yields exactly the member order of the
+// reference model (find the member, move the last member into its place), which bulk SRO
+// destruction and the swapping manager's eviction scan depend on.
+TEST(SroTest, PropertyPositionRemovalMatchesReferenceOrder) {
+  Xorshift rng(1981);
+  Sro sro(0, 0, 0, 100, kInvalidObjectIndex);
+  std::vector<ObjectIndex> reference;
+  std::map<ObjectIndex, uint32_t> position;  // what the descriptors hold
+  ObjectIndex next = 0;
+  for (int step = 0; step < 5000; ++step) {
+    if (reference.empty() || rng.NextChance(11, 20)) {
+      ObjectIndex index = next++;
+      position[index] = sro.RecordObject(index);
+      reference.push_back(index);
+    } else if (rng.NextChance(1, 10)) {
+      // Unknown or stale: neither list changes.
+      ObjectIndex stranger = next + static_cast<ObjectIndex>(rng.NextBelow(50));
+      uint32_t claimed = static_cast<uint32_t>(rng.NextBelow(reference.size() + 2));
+      EXPECT_EQ(sro.ForgetObject(stranger, claimed), kInvalidObjectIndex);
+    } else {
+      ObjectIndex victim = reference[rng.NextBelow(reference.size())];
+      auto it = std::find(reference.begin(), reference.end(), victim);
+      *it = reference.back();
+      reference.pop_back();
+      ObjectIndex moved = sro.ForgetObject(victim, position[victim]);
+      if (moved != kInvalidObjectIndex) {
+        position[moved] = position[victim];
+      }
+      position.erase(victim);
+    }
+    ASSERT_EQ(sro.objects(), reference) << "step " << step;
+  }
+  for (const auto& [index, pos] : position) {
+    ASSERT_EQ(sro.objects()[pos], index);
+  }
 }
 
 // Property test: random allocate/free sequences preserve the accounting invariant
